@@ -49,8 +49,6 @@ from .spin_states import (
     reduced_density_matrix,
     slater_decomposition,
     slater_rank,
-    state_from_slater,
-    symmetrized_initial_state,
 )
 
 __version__ = "0.1.0"
@@ -88,8 +86,6 @@ __all__ = [
     "reduced_density_matrix",
     "slater_decomposition",
     "slater_rank",
-    "state_from_slater",
     "standard_geometry",
-    "symmetrized_initial_state",
     "validate_angle",
 ]

@@ -28,6 +28,12 @@ from typing import Callable
 NORM_TOL = 1e-12
 
 
+def check_unit_norm(norm_sq: float, what: str) -> None:
+    """Raise ValueError unless norm_sq is within NORM_TOL of 1; NaN and +-inf fail too."""
+    if not abs(norm_sq - 1.0) <= NORM_TOL:
+        raise ValueError(f"{what} must be 1, got {norm_sq!r}")
+
+
 def validate_angle(theta: float) -> float:
     """Check that a scattering angle lies strictly inside (0, pi).
 
@@ -94,9 +100,7 @@ class NormalizedAmplitudePair:
     f_minus: complex
 
     def __post_init__(self) -> None:
-        norm_sq = abs(self.f_plus) ** 2 + abs(self.f_minus) ** 2
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"|f_plus|^2 + |f_minus|^2 must be 1, got {norm_sq!r}")
+        check_unit_norm(abs(self.f_plus) ** 2 + abs(self.f_minus) ** 2, "|f_plus|^2 + |f_minus|^2")
         anchor = self.f_minus if self.f_plus == 0 else self.f_plus
         if abs(anchor.imag) > NORM_TOL or anchor.real < 0.0:
             raise ValueError("global phase not fixed: leading amplitude must be real and >= 0")

@@ -4,30 +4,36 @@ For the outgoing state with real channel amplitudes and quantization axis
 z, the two-particle spin correlator for analyzer directions a and b has
 the closed form
 
-    E(a, b) = <(sigma.a) x (sigma.b)> = -[a_z b_z + 2 f_plus f_minus (a_x b_x + a_y b_y)]
+    E(a, b) = <(sigma.a) x (sigma.b)> = -a_z b_z + 2 sign f_plus f_minus (a_x b_x + a_y b_y)
+
+where sign is the exchange sign of the statistics (-1 for fermions, +1
+for bosons).
 
 Three coplanar analyzer directions with pairwise angles (pi/3, 2pi/3,
 pi/3), the first along the quantization axis, turn the local-realism
 bound |E(a,b) - E(a,c)| <= 1 + E(b,c) into the scalar condition F >= 1
 with
 
-    F(theta) = 1 + E(b, c) = 5/4 - (3/2) f_plus f_minus,
+    F(theta) = 1 + E(b, c) = 5/4 + (3/2) sign f_plus f_minus,
 
 because |E(a,b) - E(a,c)| = 1 identically for that triple.  F < 1 flags a
-Bell violation; for Coulomb amplitudes the border is crossed at
-theta = pi/4.
+Bell violation; for fermions with Coulomb amplitudes the border is crossed
+at theta = pi/4.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .amplitudes import NORM_TOL, AmplitudeProvider, NormalizedAmplitudePair, normalize
-from .spin_states import TwoSpinState
+from .amplitudes import NORM_TOL, AmplitudeProvider, NormalizedAmplitudePair, check_unit_norm, normalize
+from .spin_states import ExchangeStatistics
+
+if TYPE_CHECKING:
+    from .spin_states import TwoSpinState
 
 _ANGLE_AB = math.pi / 3
 _ANGLE_AC = 2.0 * math.pi / 3
@@ -50,9 +56,7 @@ class UnitVector3:
     z: float
 
     def __post_init__(self) -> None:
-        norm_sq = self.x ** 2 + self.y ** 2 + self.z ** 2
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"direction must be unit length, got |v|^2 = {norm_sq!r}")
+        check_unit_norm(self.x ** 2 + self.y ** 2 + self.z ** 2, "direction length |v|^2")
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
@@ -160,28 +164,31 @@ def correlator_oracle(state: TwoSpinState, a: UnitVector3, b: UnitVector3) -> fl
     return value.real
 
 
-def bell_F(amps: NormalizedAmplitudePair) -> float:
-    """Bell combination F = 5/4 - (3/2) f_plus f_minus for the canonical triple.
+def bell_F(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION) -> float:
+    """Bell combination F = 5/4 + (3/2) sign f_plus f_minus for the canonical triple.
 
-    F equals 1 + E(b, c); local realism requires F >= 1, so F < 1 is a
-    violation.  Real amplitude pairs only.
+    sign is the exchange sign of the statistics.  F equals 1 + E(b, c) in
+    the outgoing state of that statistics; local realism requires F >= 1,
+    so F < 1 is a violation.  Real amplitude pairs only.
     """
     f_plus, f_minus = _require_real(amps)
-    return 1.25 - 1.5 * f_plus * f_minus
+    # (1.5 * sign) first: the fermion value is bit-identical to 1.25 - 1.5 * f_plus * f_minus.
+    return 1.25 + 1.5 * statistics.sign * f_plus * f_minus
 
 
-def is_violated(amps: NormalizedAmplitudePair) -> bool:
+def is_violated(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION) -> bool:
     """True when the Bell combination falls strictly below the classical border."""
-    return bell_F(amps) < 1.0
+    return bell_F(amps, statistics) < 1.0
 
 
 def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[float]:
-    """Smallest angle in (0, pi/2] where the provider's F(theta) crosses 1.
+    """Smallest angle in (0, pi/2] where the provider's fermion F(theta) crosses 1.
 
     A fixed grid scan over the range brackets the first sign change of
     F - 1 (robust against non-monotone providers), then bisection narrows
-    the bracket until its half-width drops below tol.  Returns None when
-    F - 1 keeps a single sign over the whole range.
+    the bracket until its half-width drops below tol, or until the bracket
+    holds no float strictly inside it.  Returns None when F - 1 keeps a
+    single sign over the whole range.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -204,6 +211,8 @@ def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[
 
     while 0.5 * (hi - lo) > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         f_mid = gap(mid)
         if f_mid == 0.0:
             return mid

@@ -15,14 +15,14 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .amplitudes import AmplitudeProvider, constant_provider, coulomb_provider, normalize
 from .bell import bell_F, critical_angle
-from .entanglement import entropy_of_state
-from .spin_states import ExchangeStatistics, outgoing_state, slater_decomposition, slater_rank
+from .entanglement import shannon_bits
+from .spin_states import ExchangeStatistics, rank_of_weights
 
 CSV_HEADER = "theta,f_plus,f_minus,entropy,F,violated,slater_rank"
 
@@ -58,8 +58,6 @@ class ScanConfig:
     steps: int
     interaction: str = "coulomb"
     statistics: str = "fermion"
-    format: str = "csv"
-    output: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta_min < self.theta_max <= math.pi / 2.0:
@@ -83,18 +81,24 @@ def parse_interaction(text: str) -> AmplitudeProvider:
 
 
 def evaluate_angle(theta: float, provider: AmplitudeProvider, statistics: ExchangeStatistics) -> ScanRecord:
-    """Compute one output record at the given angle."""
+    """Compute one output record at the given angle.
+
+    The outgoing state f_plus |ud> + sign f_minus |du> is already in Schmidt
+    form, so every column follows from the normalized pair: the entropy and
+    the Slater rank from the weights |f_plus|^2 and |f_minus|^2, F from the
+    pair and the exchange sign.
+    """
     amps = normalize(provider(theta))
-    state = outgoing_state(amps, statistics)
-    f_value = bell_F(amps)
+    f_value = bell_F(amps, statistics)
+    weights = (abs(amps.f_plus) ** 2, abs(amps.f_minus) ** 2)
     return ScanRecord(
         theta=theta,
         f_plus=amps.f_plus.real,
         f_minus=amps.f_minus.real,
-        entropy=entropy_of_state(state),
+        entropy=shannon_bits(weights),
         F=f_value,
         violated=f_value < 1.0,
-        slater_rank=slater_rank(slater_decomposition(amps)),
+        slater_rank=rank_of_weights(weights),
     )
 
 
@@ -147,40 +151,41 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def _write_table(args: argparse.Namespace, records: Callable[[], list[ScanRecord]]) -> int:
+    """Evaluate, render and write a table; exit status 2 on ValueError, 1 on OSError."""
     try:
+        rows = records()
+    except ValueError as exc:
+        return _fail(str(exc), 2)
+    try:
+        _emit(render(rows, args.format), args.output)
+    except OSError as exc:
+        return _fail(str(exc), 1)
+    return 0
+
+
+def cmd_scan(args: argparse.Namespace) -> int:
+    def records() -> list[ScanRecord]:
         config = ScanConfig(
             theta_min=args.theta_min,
             theta_max=args.theta_max,
             steps=args.steps,
             interaction=args.interaction,
             statistics=args.statistics,
-            format=args.format,
-            output=args.output,
         )
-        records = scan_records(config)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    try:
-        _emit(render(records, config.format), config.output)
-    except OSError as exc:
-        return _fail(str(exc), 1)
-    return 0
+        return scan_records(config)
+
+    return _write_table(args, records)
 
 
 def cmd_point(args: argparse.Namespace) -> int:
-    try:
+    def records() -> list[ScanRecord]:
         if not 0.0 < args.theta <= math.pi / 2.0:
             raise ValueError(f"theta must lie in (0, pi/2], got {args.theta!r}")
         provider = parse_interaction(args.interaction)
-        record = evaluate_angle(args.theta, provider, _STATISTICS[args.statistics])
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    try:
-        _emit(render([record], args.format), args.output)
-    except OSError as exc:
-        return _fail(str(exc), 1)
-    return 0
+        return [evaluate_angle(args.theta, provider, _STATISTICS[args.statistics])]
+
+    return _write_table(args, records)
 
 
 def cmd_critical(args: argparse.Namespace) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NORM_TOL, NormalizedAmplitudePair
+from .amplitudes import NormalizedAmplitudePair, check_unit_norm
 
 
 class ExchangeStatistics(enum.Enum):
@@ -32,9 +32,9 @@ class ExchangeStatistics(enum.Enum):
     FERMION = -1
     BOSON = 1
 
-    @property
-    def sign(self) -> int:
-        return self.value
+    def __init__(self, sign: int) -> None:
+        # A plain attribute, not a property: bell_F reads it on every angle.
+        self.sign = sign
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,7 @@ class TwoSpinState:
     c_downdown: complex
 
     def __post_init__(self) -> None:
-        norm_sq = sum(abs(c) ** 2 for c in self._coeffs())
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state must be normalized, got |psi|^2 = {norm_sq!r}")
+        check_unit_norm(sum(abs(c) ** 2 for c in self._coeffs()), "|psi|^2")
 
     def _coeffs(self) -> tuple[complex, complex, complex, complex]:
         return (self.c_upup, self.c_updown, self.c_downup, self.c_downdown)
@@ -72,9 +70,7 @@ class SlaterDecomposition:
     c_minus_s: complex
 
     def __post_init__(self) -> None:
-        norm_sq = abs(self.c_s) ** 2 + abs(self.c_minus_s) ** 2
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"coefficients must be normalized, got {norm_sq!r}")
+        check_unit_norm(abs(self.c_s) ** 2 + abs(self.c_minus_s) ** 2, "|c_s|^2 + |c_minus_s|^2")
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -106,25 +102,20 @@ def slater_decomposition(amps: NormalizedAmplitudePair) -> SlaterDecomposition:
     return SlaterDecomposition(amps.f_plus, -amps.f_minus)
 
 
-def state_from_slater(dec: SlaterDecomposition) -> TwoSpinState:
-    """Expand determinant coefficients back into the slot-labeled basis.
-
-    Inverse of slater_decomposition: the up-detected determinant maps to
-    |ud> and the down-detected one to |du>, signs carried by the
-    coefficients themselves.
-    """
-    return TwoSpinState(0.0, dec.c_s, dec.c_minus_s, 0.0)
-
-
-def slater_rank(dec: SlaterDecomposition, epsilon: float = 1e-12) -> int:
-    """Number of determinants with weight |c|^2 above epsilon (1 or 2).
+def rank_of_weights(weights, epsilon: float = 1e-12) -> int:
+    """Number of determinant weights |c|^2 above epsilon (1 or 2).
 
     Rank 1 means a single determinant, i.e. nothing beyond
     antisymmetrization; rank 2 is genuine two-particle entanglement.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
-    return sum(1 for c in (dec.c_s, dec.c_minus_s) if abs(c) ** 2 > epsilon)
+    return sum(1 for w in weights if w > epsilon)
+
+
+def slater_rank(dec: SlaterDecomposition, epsilon: float = 1e-12) -> int:
+    """Slater rank of a decomposition: rank_of_weights of its |c|^2."""
+    return rank_of_weights((abs(dec.c_s) ** 2, abs(dec.c_minus_s) ** 2), epsilon)
 
 
 def reduced_density_matrix(state: TwoSpinState, slot: int) -> np.ndarray:
@@ -139,12 +130,3 @@ def reduced_density_matrix(state: TwoSpinState, slot: int) -> np.ndarray:
     if slot == 1:
         return c @ c.conj().T
     return c.T @ c.conj()
-
-
-def symmetrized_initial_state() -> SlaterDecomposition:
-    """Determinant coefficients of the antisymmetrized opposite-spin initial state.
-
-    A single determinant, (1, 0): the bare initial configuration carries no
-    entanglement beyond antisymmetrization.
-    """
-    return SlaterDecomposition(1.0, 0.0)

@@ -18,9 +18,13 @@ from spinscatter.amplitudes import (
     coulomb_provider,
     mandelstam_t,
     mandelstam_u,
+    check_unit_norm,
     normalize,
     validate_angle,
 )
+from spinscatter.bell import UnitVector3
+from spinscatter.entanglement import eoe_label_fixed
+from spinscatter.spin_states import SlaterDecomposition, TwoSpinState
 
 MASSLESS = Kinematics(m=0.0, E=1.0)
 
@@ -273,3 +277,40 @@ class TestNormalizedPairValidation:
     def test_relative_phase_is_allowed(self):
         assert not NormalizedAmplitudePair(0.6, 0.8j).is_real
         assert NormalizedAmplitudePair(0.6, -0.8).is_real
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestUnitNormCheck:
+    """Every unit-norm check goes through check_unit_norm, which rejects NaN and inf."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: normalize(AmplitudePair(NAN, 1.0)),
+            lambda: normalize(AmplitudePair(INF, 1.0)),
+            lambda: NormalizedAmplitudePair(NAN, 1.0),
+            lambda: TwoSpinState(0.0, NAN, 0.0, 0.0),
+            lambda: SlaterDecomposition(NAN, 0.0),
+            lambda: UnitVector3(NAN, 0.0, 0.0),
+            lambda: eoe_label_fixed([NAN, 0.0]),
+        ],
+        ids=[
+            "normalize-nan", "normalize-inf", "pair-nan", "state-nan",
+            "slater-nan", "vector-nan", "entropy-nan",
+        ],
+    )
+    def test_non_finite_input_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize("norm_sq", [NAN, INF, -INF, 1.0 + 2e-12, 1.0 - 2e-12])
+    def test_check_rejects(self, norm_sq):
+        with pytest.raises(ValueError):
+            check_unit_norm(norm_sq, "norm")
+
+    @pytest.mark.parametrize("norm_sq", [1.0, 1.0 + 5e-13, 1.0 - 5e-13])
+    def test_check_accepts_within_tolerance(self, norm_sq):
+        check_unit_norm(norm_sq, "norm")

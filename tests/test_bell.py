@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinscatter.amplitudes import (
+    AmplitudePair,
     NormalizedAmplitudePair,
     constant_provider,
     coulomb_f_pm,
@@ -220,3 +221,19 @@ class TestCriticalAngle:
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             critical_angle(coulomb_provider(), tol=0.0)
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        """tol=1e-20 cannot be met near 1.2; bisection stops at adjacent floats."""
+        calls = 0
+
+        def steep(theta):
+            nonlocal calls
+            calls += 1
+            if calls > 2000:
+                raise RuntimeError("bisection did not stop")
+            phi = min(max(math.pi / 4 + 100.0 * (theta - 1.2), 0.0), math.pi / 2)
+            return AmplitudePair(math.cos(phi), math.sin(phi))
+
+        root = critical_angle(steep, tol=1e-20)
+        # F = 5/4 - (3/4) sin(2 phi) first reaches 1 where sin(2 phi) = 1/3.
+        assert root == pytest.approx(1.2 + (math.asin(1.0 / 3.0) / 2 - math.pi / 4) / 100.0, abs=1e-15)

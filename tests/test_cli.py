@@ -1,10 +1,13 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
+from spinscatter.amplitudes import normalize
+from spinscatter.bell import correlator_oracle, standard_geometry
 from spinscatter.cli import (
     CSV_HEADER,
     ScanConfig,
@@ -14,7 +17,7 @@ from spinscatter.cli import (
     render_csv,
     scan_records,
 )
-from spinscatter.spin_states import ExchangeStatistics
+from spinscatter.spin_states import ExchangeStatistics, outgoing_state
 
 
 def run(capsys, *argv):
@@ -63,11 +66,43 @@ class TestScanCommand:
         _, direct, _ = run(capsys, "scan", "--steps", "4")
         assert target.read_text(encoding="utf-8") == direct
 
-    def test_boson_statistics_gives_identical_table(self, capsys):
-        """Entropy, F and rank are statistics-blind, so the rows coincide."""
-        _, fermion, _ = run(capsys, "scan", "--steps", "3")
-        _, boson, _ = run(capsys, "scan", "--steps", "3", "--statistics", "boson")
-        assert boson == fermion
+    def test_F_matches_oracle_for_both_statistics(self, capsys):
+        """Each row's F is 1 + E(b, c) of the outgoing state of the statistics asked for."""
+        geo = standard_geometry()
+        for interaction in ("coulomb", "constant:0.6"):
+            provider = parse_interaction(interaction)
+            for name, statistics in (("fermion", ExchangeStatistics.FERMION), ("boson", ExchangeStatistics.BOSON)):
+                _, out, _ = run(
+                    capsys, "scan", "--steps", "40", "--format", "json",
+                    "--interaction", interaction, "--statistics", name,
+                )
+                for row in json.loads(out):
+                    state = outgoing_state(normalize(provider(row["theta"])), statistics)
+                    want = 1.0 + correlator_oracle(state, geo.b_hat, geo.c_hat)
+                    assert row["F"] == pytest.approx(want, abs=1e-12)
+                    assert row["violated"] == (want < 1.0)
+
+    def test_statistics_change_only_F_and_violated(self, capsys):
+        _, fermion, _ = run(capsys, "scan", "--steps", "40")
+        _, boson, _ = run(capsys, "scan", "--steps", "40", "--statistics", "boson")
+        for f_row, b_row in zip(fermion.splitlines(), boson.splitlines()):
+            f_cols, b_cols = f_row.split(","), b_row.split(",")
+            assert f_cols[:4] == b_cols[:4] and f_cols[6] == b_cols[6]
+        assert all(row.endswith(",false,2") for row in boson.splitlines()[1:])
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ((), "8190fe1638dfccca814bd151addd9c0a3c84ec2689beea35808d9733afeb3574"),
+            (("--interaction", "constant:0.6"), "1e9a1a467c081b734ad2ea59103ed4b4a50cb8f9b04fc1eaf5cba3a95998290b"),
+        ],
+        ids=["default", "constant-0.6"],
+    )
+    def test_golden_table(self, capsys, argv, digest):
+        """Fermion CSV tables are pinned byte for byte (sha256 of stdout)."""
+        code, out, _ = run(capsys, "scan", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_constant_interaction(self, capsys):
         code, out, _ = run(capsys, "scan", "--steps", "3", "--interaction", "constant:0.6")

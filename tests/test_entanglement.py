@@ -17,7 +17,6 @@ from spinscatter.spin_states import (
     distinguishable_outgoing_state,
     outgoing_state,
     slater_decomposition,
-    symmetrized_initial_state,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -33,7 +32,7 @@ def coulomb_pair(theta):
 class TestLabelFixedEntropy:
     def test_single_determinant_is_zero(self):
         assert eoe_label_fixed([1.0, 0.0]) == 0.0
-        assert eoe_label_fixed(symmetrized_initial_state().coefficients) == 0.0
+        assert eoe_label_fixed([0.0, -1.0]) == 0.0
 
     def test_singlet_is_one_bit(self):
         assert eoe_label_fixed([INV_SQRT2, -INV_SQRT2]) == pytest.approx(1.0, abs=1e-12)

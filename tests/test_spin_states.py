@@ -15,8 +15,6 @@ from spinscatter.spin_states import (
     reduced_density_matrix,
     slater_decomposition,
     slater_rank,
-    state_from_slater,
-    symmetrized_initial_state,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -91,10 +89,12 @@ class TestSlaterDecomposition:
         assert dec.c_minus_s == pytest.approx(-math.sqrt(0.1), abs=1e-12)
 
     def test_round_trip_reproduces_fermion_state(self):
+        """The determinant coefficients are the fermion state's (c_updown, c_downup)."""
         for theta in np.linspace(0.05, math.pi - 0.05, 100):
             amps = coulomb_pair(theta)
-            rebuilt = state_from_slater(slater_decomposition(amps))
-            assert rebuilt == outgoing_state(amps, ExchangeStatistics.FERMION)
+            dec = slater_decomposition(amps)
+            state = outgoing_state(amps, ExchangeStatistics.FERMION)
+            assert (dec.c_s, dec.c_minus_s) == (state.c_updown, state.c_downup)
 
     def test_coefficients_array(self):
         dec = SlaterDecomposition(0.6, -0.8)
@@ -162,13 +162,6 @@ class TestReducedDensityMatrix:
         state = TwoSpinState(0.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             reduced_density_matrix(state, 0)
-
-
-class TestInitialState:
-    def test_single_determinant(self):
-        dec = symmetrized_initial_state()
-        assert (dec.c_s, dec.c_minus_s) == (1.0, 0.0)
-        assert slater_rank(dec) == 1
 
 
 class TestValidation:
