@@ -164,6 +164,16 @@ def correlator_oracle(state: TwoSpinState, a: UnitVector3, b: UnitVector3) -> fl
     return value.real
 
 
+def bell_F_of(f_plus, f_minus, statistics: ExchangeStatistics = ExchangeStatistics.FERMION):
+    """F = 5/4 + (3/2) sign f_plus f_minus from the real components of a normalized pair.
+
+    The components are floats, or equal-shape arrays over an angle grid
+    (from normalize_grid), for which F is computed element-wise.
+    """
+    # (1.5 * sign) first: the fermion value is bit-identical to 1.25 - 1.5 * f_plus * f_minus.
+    return 1.25 + 1.5 * statistics.sign * f_plus * f_minus
+
+
 def bell_F(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION) -> float:
     """Bell combination F = 5/4 + (3/2) sign f_plus f_minus for the canonical triple.
 
@@ -172,8 +182,7 @@ def bell_F(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = Excha
     so F < 1 is a violation.  Real amplitude pairs only.
     """
     f_plus, f_minus = _require_real(amps)
-    # (1.5 * sign) first: the fermion value is bit-identical to 1.25 - 1.5 * f_plus * f_minus.
-    return 1.25 + 1.5 * statistics.sign * f_plus * f_minus
+    return bell_F_of(f_plus, f_minus, statistics)
 
 
 def is_violated(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION) -> bool:

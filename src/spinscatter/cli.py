@@ -14,17 +14,18 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .amplitudes import AmplitudeProvider, constant_provider, coulomb_provider, normalize
-from .bell import bell_F, critical_angle
-from .entanglement import shannon_bits
+from .amplitudes import AmplitudeProvider, constant_provider, coulomb_provider, normalize_grid
+from .bell import bell_F_of, critical_angle
+from .entanglement import shannon_bits_grid
 from .spin_states import ExchangeStatistics, rank_of_weights
 
 CSV_HEADER = "theta,f_plus,f_minus,entropy,F,violated,slater_rank"
+_CSV_ROW = "%.12f,%.12f,%.12f,%.12f,%.12f,%s,%d\n"
 
 DEFAULT_THETA_MIN = 0.01
 DEFAULT_THETA_MAX = math.pi / 2.0
@@ -36,8 +37,7 @@ _STATISTICS = {
 }
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """One evaluated angle of a scan table."""
 
     theta: float
@@ -80,58 +80,36 @@ def parse_interaction(text: str) -> AmplitudeProvider:
     raise ValueError(f"unknown interaction {text!r} (choose coulomb or constant:<f_plus>)")
 
 
-def evaluate_angle(theta: float, provider: AmplitudeProvider, statistics: ExchangeStatistics) -> ScanRecord:
-    """Compute one output record at the given angle.
+def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: ExchangeStatistics) -> list[ScanRecord]:
+    """Compute the records of an angle grid, one array expression per column.
 
     The outgoing state f_plus |ud> + sign f_minus |du> is already in Schmidt
     form, so every column follows from the normalized pair: the entropy and
     the Slater rank from the weights |f_plus|^2 and |f_minus|^2, F from the
-    pair and the exchange sign.
+    pair and the exchange sign.  The provider is called once, on the whole
+    grid.
     """
-    amps = normalize(provider(theta))
-    f_value = bell_F(amps, statistics)
-    weights = (abs(amps.f_plus) ** 2, abs(amps.f_minus) ** 2)
-    return ScanRecord(
-        theta=theta,
-        f_plus=amps.f_plus.real,
-        f_minus=amps.f_minus.real,
-        entropy=shannon_bits(weights),
-        F=f_value,
-        violated=f_value < 1.0,
-        slater_rank=rank_of_weights(weights),
-    )
+    f_plus, f_minus = normalize_grid(provider(thetas))
+    f_value = bell_F_of(f_plus, f_minus, statistics)
+    weights = (f_plus * f_plus, f_minus * f_minus)
+    columns = (thetas, f_plus, f_minus, shannon_bits_grid(weights), f_value, f_value < 1.0, rank_of_weights(weights))
+    return list(map(ScanRecord._make, zip(*[column.tolist() for column in columns])))
 
 
 def scan_records(config: ScanConfig) -> list[ScanRecord]:
     """Evaluate the scan grid in ascending theta order."""
     provider = parse_interaction(config.interaction)
-    statistics = _STATISTICS[config.statistics]
     thetas = np.linspace(config.theta_min, config.theta_max, config.steps)
-    return [evaluate_angle(float(t), provider, statistics) for t in thetas]
-
-
-def _csv_row(r: ScanRecord) -> str:
-    return ",".join(
-        (
-            f"{r.theta:.12f}",
-            f"{r.f_plus:.12f}",
-            f"{r.f_minus:.12f}",
-            f"{r.entropy:.12f}",
-            f"{r.F:.12f}",
-            "true" if r.violated else "false",
-            str(r.slater_rank),
-        )
-    )
+    return evaluate_grid(thetas, provider, _STATISTICS[config.statistics])
 
 
 def render_csv(records: list[ScanRecord]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(_csv_row(r) for r in records)
-    return "\n".join(lines) + "\n"
+    rows = [_CSV_ROW % (*r[:5], "true" if r.violated else "false", r.slater_rank) for r in records]
+    return CSV_HEADER + "\n" + "".join(rows)
 
 
 def render_json(records: list[ScanRecord]) -> str:
-    return json.dumps([asdict(r) for r in records], indent=2) + "\n"
+    return json.dumps([r._asdict() for r in records], indent=2) + "\n"
 
 
 def render(records: list[ScanRecord], fmt: str) -> str:
@@ -183,7 +161,7 @@ def cmd_point(args: argparse.Namespace) -> int:
         if not 0.0 < args.theta <= math.pi / 2.0:
             raise ValueError(f"theta must lie in (0, pi/2], got {args.theta!r}")
         provider = parse_interaction(args.interaction)
-        return [evaluate_angle(args.theta, provider, _STATISTICS[args.statistics])]
+        return evaluate_grid(np.array([args.theta]), provider, _STATISTICS[args.statistics])
 
     return _write_table(args, records)
 

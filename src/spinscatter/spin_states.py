@@ -102,15 +102,17 @@ def slater_decomposition(amps: NormalizedAmplitudePair) -> SlaterDecomposition:
     return SlaterDecomposition(amps.f_plus, -amps.f_minus)
 
 
-def rank_of_weights(weights, epsilon: float = 1e-12) -> int:
+def rank_of_weights(weights, epsilon: float = 1e-12):
     """Number of determinant weights |c|^2 above epsilon (1 or 2).
 
     Rank 1 means a single determinant, i.e. nothing beyond
-    antisymmetrization; rank 2 is genuine two-particle entanglement.
+    antisymmetrization; rank 2 is genuine two-particle entanglement.  With
+    one equal-shape array per determinant (an angle grid), the result is
+    the integer array of ranks, element by element.
     """
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
-    return sum(1 for w in weights if w > epsilon)
+    return sum(w > epsilon for w in weights)
 
 
 def slater_rank(dec: SlaterDecomposition, epsilon: float = 1e-12) -> int:

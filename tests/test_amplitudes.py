@@ -20,6 +20,7 @@ from spinscatter.amplitudes import (
     mandelstam_u,
     check_unit_norm,
     normalize,
+    normalize_grid,
     validate_angle,
 )
 from spinscatter.bell import UnitVector3
@@ -314,3 +315,61 @@ class TestUnitNormCheck:
     @pytest.mark.parametrize("norm_sq", [1.0, 1.0 + 5e-13, 1.0 - 5e-13])
     def test_check_accepts_within_tolerance(self, norm_sq):
         check_unit_norm(norm_sq, "norm")
+
+
+class TestGridForms:
+    """The array forms the scan uses apply the scalar checks to every element of a grid."""
+
+    GRID = np.array([0.3, 0.7, 1.1, 1.5])
+
+    @pytest.mark.parametrize(
+        "provider, rel",
+        # np.cos and math.cos agree here, but numpy does not promise the last bit on every platform.
+        [(coulomb_provider(), 1e-15), (constant_provider(0.6), 0.0), (constant_provider(0.0), 0.0)],
+        ids=["coulomb", "constant-0.6", "constant-0"],
+    )
+    def test_providers_match_scalar_calls(self, provider, rel):
+        pair = provider(self.GRID)
+        for i, theta in enumerate(self.GRID.tolist()):
+            one = provider(theta)
+            assert pair.direct[i] == pytest.approx(one.direct, rel=rel, abs=0.0)
+            assert pair.exchange[i] == pytest.approx(one.exchange, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, math.pi, -0.1, 4.0, NAN, INF, -INF])
+    @pytest.mark.parametrize("provider", [coulomb_provider(), constant_provider(0.6)], ids=["coulomb", "constant"])
+    def test_providers_reject_one_bad_angle(self, provider, bad):
+        grid = self.GRID.copy()
+        grid[2] = bad
+        with pytest.raises(ValueError, match="strictly in"):
+            provider(grid)
+        with pytest.raises(ValueError, match="strictly in"):
+            validate_angle(grid)
+
+    def test_matches_scalar_normalize(self):
+        direct = np.array([-0.5, -1.0, 0.0, 3.0, 1e-300, -2.0])
+        exchange = np.array([-0.5, -1.0 / 3.0, 5.0, -4.0, 1e-300, 0.0])
+        f_plus, f_minus = normalize_grid(AmplitudePair(direct, exchange))
+        for i in range(direct.size):
+            amps = normalize(AmplitudePair(float(direct[i]), float(exchange[i])))
+            assert (f_plus[i], f_minus[i]) == (amps.f_plus, amps.f_minus.real)
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF])
+    @pytest.mark.parametrize("channel", ["direct", "exchange"])
+    def test_rejects_one_non_finite_element(self, channel, bad):
+        values = {"direct": np.array([0.6, 0.6, 0.6]), "exchange": np.array([0.8, 0.8, 0.8])}
+        values[channel][1] = bad
+        with pytest.raises(ValueError, match="must be 1"):
+            normalize_grid(AmplitudePair(values["direct"], values["exchange"]))
+
+    def test_rejects_one_vanishing_pair(self):
+        with pytest.raises(ValueError, match="vanish"):
+            normalize_grid(AmplitudePair(np.array([0.6, 0.0, 1.0]), np.array([0.8, 0.0, 0.0])))
+
+    def test_rejects_complex_channels(self):
+        with pytest.raises(ValueError, match="real"):
+            normalize_grid(AmplitudePair(np.array([0.6 + 0.1j]), np.array([0.8])))
+
+    def test_grid_norm_check_names_first_failure(self):
+        check_unit_norm(np.array([1.0, 1.0 + 5e-13]), "norm")
+        with pytest.raises(ValueError, match="got 2.0"):
+            check_unit_norm(np.array([1.0, 2.0, NAN]), "norm")

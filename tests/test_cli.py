@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from spinscatter.amplitudes import normalize
@@ -11,7 +12,8 @@ from spinscatter.bell import correlator_oracle, standard_geometry
 from spinscatter.cli import (
     CSV_HEADER,
     ScanConfig,
-    evaluate_angle,
+    ScanRecord,
+    evaluate_grid,
     main,
     parse_interaction,
     render_csv,
@@ -95,8 +97,9 @@ class TestScanCommand:
         [
             ((), "8190fe1638dfccca814bd151addd9c0a3c84ec2689beea35808d9733afeb3574"),
             (("--interaction", "constant:0.6"), "1e9a1a467c081b734ad2ea59103ed4b4a50cb8f9b04fc1eaf5cba3a95998290b"),
+            (("--steps", "100000"), "a0710443964afa638760074c620da76f1a400fd02b13e5d85a86d81e139fc9c0"),
         ],
-        ids=["default", "constant-0.6"],
+        ids=["default", "constant-0.6", "steps-100000"],
     )
     def test_golden_table(self, capsys, argv, digest):
         """Fermion CSV tables are pinned byte for byte (sha256 of stdout)."""
@@ -163,6 +166,9 @@ class TestUsageErrors:
             ("scan", "--interaction", "constant:1.7"),
             ("scan", "--interaction", "constant:abc"),
             ("point", "0.0"),
+            ("scan", "--theta-min", "nan"),
+            ("scan", "--theta-max", "inf"),
+            ("point", "nan"),
         ],
     )
     def test_exit_code_two(self, capsys, argv):
@@ -211,7 +217,16 @@ class TestInternals:
         assert text.count("\n") == 3
 
     def test_evaluate_angle_fields(self):
-        record = evaluate_angle(math.pi / 3, parse_interaction("coulomb"), ExchangeStatistics.FERMION)
+        """The one-angle grid that `point` evaluates."""
+        (record,) = evaluate_grid(np.array([math.pi / 3]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
         assert record.F == pytest.approx(0.8, abs=1e-12)
         assert record.violated is True
         assert record.slater_rank == 2
+
+    def test_records_are_plain_python_values(self):
+        """Columns leave numpy as float / bool / int, so JSON and CSV see what the scalar path gave."""
+        (record,) = evaluate_grid(np.array([1.0]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
+        assert isinstance(record, ScanRecord) and record._fields == (
+            "theta", "f_plus", "f_minus", "entropy", "F", "violated", "slater_rank",
+        )
+        assert [type(v) for v in record] == [float] * 5 + [bool, int]

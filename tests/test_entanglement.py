@@ -11,6 +11,8 @@ from spinscatter.entanglement import (
     entropy_of_state,
     eoe_label_fixed,
     eoe_symmetrized,
+    shannon_bits,
+    shannon_bits_grid,
 )
 from spinscatter.spin_states import (
     ExchangeStatistics,
@@ -136,3 +138,24 @@ class TestCoulombEntropy:
     def test_angle_domain(self, theta):
         with pytest.raises(ValueError):
             coulomb_entropy(theta)
+
+
+class TestShannonBits:
+    @pytest.mark.parametrize(
+        "weights", [[float("nan"), 1.0], [float("inf"), 0.5], [0.5, -float("inf")]], ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            shannon_bits(weights)
+        with pytest.raises(ValueError, match="finite"):
+            shannon_bits_grid(np.array(weights).reshape(2, 1))
+
+    def test_round_off_is_clamped(self):
+        assert shannon_bits([1.0 + 1e-16, -1e-17]) == 0.0
+        assert shannon_bits([0.9, 0.1]) == pytest.approx(H_09, abs=1e-15)
+
+    def test_grid_matches_scalar_per_column(self):
+        weights = np.array([[1.0, 0.0, 0.9, 0.5, 1.0 + 1e-16, 0.999], [0.0, 1.0, 0.1, 0.5, -1e-17, 0.001]])
+        grid = shannon_bits_grid(weights)
+        assert grid.tolist() == [shannon_bits(column) for column in weights.T.tolist()]
+        assert not np.signbit(grid).any()

@@ -1,0 +1,112 @@
+"""Property tests: the grid path against the scalar functions, the closed forms against the Pauli oracle."""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from spinscatter.amplitudes import AmplitudePair, constant_provider, normalize  # noqa: E402
+from spinscatter.bell import (  # noqa: E402
+    BellGeometry,
+    UnitVector3,
+    bell_F,
+    correlator_closed_form,
+    correlator_oracle,
+    standard_geometry,
+)
+from spinscatter.cli import ScanConfig, scan_records  # noqa: E402
+from spinscatter.entanglement import shannon_bits  # noqa: E402
+from spinscatter.spin_states import ExchangeStatistics, outgoing_state, rank_of_weights  # noqa: E402
+
+HALF_PI = math.pi / 2.0
+STATISTICS = {"fermion": ExchangeStatistics.FERMION, "boson": ExchangeStatistics.BOSON}
+
+statistics_names = st.sampled_from(sorted(STATISTICS))
+# Direction of a real channel pair (cos phi, sin phi): every sign pattern, f_plus = 0 and f_minus = 0 included.
+pair_angles = st.one_of(
+    st.sampled_from([0.0, HALF_PI, math.pi, -HALF_PI]),
+    st.floats(-math.pi, math.pi, allow_nan=False),
+)
+
+
+@st.composite
+def scan_ranges(draw):
+    lo = draw(st.floats(1e-9, HALF_PI, exclude_max=True))
+    hi = draw(st.one_of(st.just(HALF_PI), st.floats(lo, HALF_PI, exclude_min=True)))
+    return lo, hi
+
+
+@st.composite
+def rotations(draw):
+    """A rotation matrix from a random unit quaternion."""
+    q = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)))
+    n = np.linalg.norm(q)
+    if n < 0.1:
+        q, n = np.array([1.0, 0.0, 0.0, 0.0]), 1.0
+    w, x, y, z = q / n
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def real_pair(phi):
+    return normalize(AmplitudePair(math.cos(phi), math.sin(phi)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    grid=scan_ranges(),
+    steps=st.integers(2, 400),
+    f_plus=st.one_of(st.sampled_from([0.0, 1.0, 1e-7, 0.999999]), st.floats(0.0, 1.0)),
+    name=statistics_names,
+)
+def test_grid_matches_scalar_reference(grid, steps, f_plus, name):
+    """Each scan row equals normalize + bell_F + shannon_bits + rank_of_weights at its angle.
+
+    Every column is exact except entropy, which may differ by 1 ulp.
+    """
+    lo, hi = grid
+    interaction = f"constant:{f_plus!r}"
+    records = scan_records(ScanConfig(lo, hi, steps, interaction=interaction, statistics=name))
+    thetas = np.linspace(lo, hi, steps).tolist()
+    provider = constant_provider(f_plus)
+    assert len(records) == steps
+    for record, theta in zip(records, thetas):
+        amps = normalize(provider(theta))
+        f_value = bell_F(amps, STATISTICS[name])
+        weights = (amps.f_plus * amps.f_plus, amps.f_minus.real * amps.f_minus.real)
+        entropy = shannon_bits(weights)
+        assert record[:3] == (theta, amps.f_plus, amps.f_minus.real)
+        assert record[4:] == (f_value, f_value < 1.0, rank_of_weights(weights))
+        assert abs(record.entropy - entropy) <= math.ulp(entropy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=pair_angles, rotation=rotations())
+def test_closed_form_matches_oracle_under_rotation(phi, rotation):
+    """Closed-form fermion correlator = Pauli oracle, for any rigid rotation of the analyzer triple."""
+    amps = real_pair(phi)
+    state = outgoing_state(amps, ExchangeStatistics.FERMION)
+    standard = standard_geometry()
+    geo = BellGeometry(*(
+        UnitVector3(*(rotation @ v.as_array()).tolist()) for v in (standard.a_hat, standard.b_hat, standard.c_hat)
+    ))
+    for u, v in ((geo.a_hat, geo.b_hat), (geo.a_hat, geo.c_hat), (geo.b_hat, geo.c_hat), (geo.c_hat, geo.a_hat)):
+        assert correlator_closed_form(u, v, amps) == pytest.approx(correlator_oracle(state, u, v), abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=pair_angles, name=statistics_names)
+def test_F_is_one_plus_oracle_correlator(phi, name):
+    """F = 1 + E(b, c) in the outgoing state of either statistics."""
+    amps = real_pair(phi)
+    statistics = STATISTICS[name]
+    geo = standard_geometry()
+    want = 1.0 + correlator_oracle(outgoing_state(amps, statistics), geo.b_hat, geo.c_hat)
+    assert bell_F(amps, statistics) == pytest.approx(want, abs=1e-12)
