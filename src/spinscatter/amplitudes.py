@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy import ndarray  # bound once: critical_angle makes these isinstance checks on every scalar call
+# Bound once: the isinstance checks that tell one angle from a grid run on every one-angle provider call.  The one
+# in check_unit_norm is off that path but stays: np.all costs about 4 us a scalar call, the branch about 0.2 us.
+from numpy import ndarray
 
 # Shared tolerance for "is this normalized / real" checks on constructed values.
 NORM_TOL = 1e-12
@@ -134,11 +136,6 @@ class NormalizedAmplitudePair:
         if abs(anchor.imag) > NORM_TOL or anchor.real < 0.0:
             raise ValueError("global phase not fixed: leading amplitude must be real and >= 0")
 
-    @property
-    def is_real(self) -> bool:
-        """True when both components are real (f_plus always is, by convention)."""
-        return abs(self.f_minus.imag) <= NORM_TOL
-
 
 # An interaction model: maps a scattering angle onto the raw channel pair.
 # Physically consistent providers satisfy the exchange relation
@@ -179,9 +176,13 @@ def coulomb_amplitudes(theta, kin: Kinematics) -> AmplitudePair:
     """Lowest-order Coulomb channel amplitudes (N/t, N/u).
 
     Both components are real and negative; the coupling prefactor N is
-    ``kin.charge_factor``.  An angle array gives a pair of arrays.
+    ``kin.charge_factor``.  An angle array gives a pair of arrays.  Where t
+    or u rounds to 0, next to the beam axis, the amplitude diverges: ValueError.
     """
     t, u = _mandelstam_pair(theta, kin)
+    zero = (t == 0.0) | (u == 0.0)
+    if zero.any() if isinstance(zero, ndarray) else zero:
+        raise ValueError(f"Coulomb amplitude diverges at theta = {float(np.extract(zero, theta)[0])!r}")
     n = kin.charge_factor
     return AmplitudePair(n / t, n / u)
 
@@ -205,28 +206,27 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
 
 
 def normalize_grid(pair: AmplitudePair) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of normalize for a pair of real channel arrays over an angle grid.
+    """Array form of normalize for a pair of channel arrays over an angle grid.
 
-    Returns the arrays (f_plus, f_minus), element by element equal to the
-    real parts of normalize's result: each pair is divided by math.hypot of
-    its channels (np.hypot rounds differently in about 0.5% of inputs), the
-    common sign is flipped where f_plus < 0 and f_minus is taken positive
-    where f_plus vanishes.  |f_plus|^2 + |f_minus|^2 goes through
-    check_unit_norm, so a NaN or +-inf anywhere raises ValueError.  Complex
-    channels raise ValueError too: normalize keeps their relative phase.
+    Returns the arrays (f_plus, f_minus) under normalize's convention: each
+    pair is divided by math.hypot of its channel moduli (np.hypot rounds
+    differently in about 0.5% of inputs) and rotated so that f_plus is real
+    and nonnegative (f_minus where f_plus vanishes).  Real channels give the
+    real parts of normalize's result exactly; complex channels keep their
+    relative phase, to within an ulp of normalize.  |f_plus|^2 + |f_minus|^2
+    goes through check_unit_norm, so a NaN or +-inf anywhere raises ValueError.
     """
     direct, exchange = np.asarray(pair.direct), np.asarray(pair.exchange)
-    if np.iscomplexobj(direct) or np.iscomplexobj(exchange):
-        raise ValueError("normalize_grid takes real channel amplitudes; use normalize for complex pairs")
-    norm = np.fromiter(map(math.hypot, direct.ravel().tolist(), exchange.ravel().tolist()), float, direct.size)
-    norm = norm.reshape(direct.shape)
-    with np.errstate(invalid="ignore"):  # inf / inf gives NaN, which the norm check rejects
+    moduli = np.abs(direct).ravel().tolist(), np.abs(exchange).ravel().tolist()
+    norm = np.fromiter(map(math.hypot, *moduli), float, direct.size).reshape(direct.shape)
+    with np.errstate(invalid="ignore"):  # NaN from inf / inf fails the norm check; from 0 / 0, np.where drops it
         f_plus = direct / norm
         f_minus = exchange / norm
-    f_minus = np.where(f_plus == 0.0, np.abs(f_minus), np.sign(f_plus) * f_minus)
-    f_plus = np.abs(f_plus)
-    check_unit_norm(f_plus * f_plus + f_minus * f_minus, "|f_plus|^2 + |f_minus|^2")
-    return f_plus, f_minus
+        modulus = np.abs(f_plus)
+        phase = np.conj(f_plus) / modulus  # +-1 exactly for real channels
+    f_minus = np.where(modulus == 0.0, np.abs(f_minus), f_minus * phase)
+    check_unit_norm(modulus * modulus + np.abs(f_minus) ** 2, "|f_plus|^2 + |f_minus|^2")
+    return modulus, f_minus
 
 
 def coulomb_f_pm(theta: float) -> tuple[float, float]:

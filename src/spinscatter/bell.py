@@ -18,22 +18,20 @@ with
 
 because |E(a,b) - E(a,c)| = 1 identically for that triple.  F < 1 flags a
 Bell violation; for fermions with Coulomb amplitudes the border is crossed
-at theta = pi/4.
+at theta = pi/4.  critical_angle finds that crossing from F on angle grids
+(normalize_grid, then bell_F_of), with one provider call per angle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from .amplitudes import NORM_TOL, AmplitudeProvider, NormalizedAmplitudePair, check_unit_norm, normalize
-from .spin_states import ExchangeStatistics
-
-if TYPE_CHECKING:
-    from .spin_states import TwoSpinState
+from .amplitudes import NORM_TOL, AmplitudePair, AmplitudeProvider, NormalizedAmplitudePair, check_unit_norm, normalize_grid
+from .spin_states import ExchangeStatistics, TwoSpinState
 
 _ANGLE_AB = math.pi / 3
 _ANGLE_AC = 2.0 * math.pi / 3
@@ -119,13 +117,15 @@ def standard_geometry() -> BellGeometry:
     )
 
 
-def _require_real(amps: NormalizedAmplitudePair) -> tuple[float, float]:
-    if not amps.is_real:
+def _require_real(f_minus):
+    """Real part of f_minus (a number or an array); ValueError if a relative phase exceeds NORM_TOL."""
+    real = abs(f_minus.imag) <= NORM_TOL
+    if not (real.all() if isinstance(real, np.ndarray) else real):
         raise ValueError(
             "closed form requires real channel amplitudes; "
             "use correlator_oracle for pairs with a relative phase"
         )
-    return amps.f_plus.real, amps.f_minus.real
+    return f_minus.real
 
 
 def correlator_closed_form(a: UnitVector3, b: UnitVector3, amps: NormalizedAmplitudePair) -> float:
@@ -134,7 +134,7 @@ def correlator_closed_form(a: UnitVector3, b: UnitVector3, amps: NormalizedAmpli
     E(a, b) = -[a_z b_z + 2 f_plus f_minus (a_x b_x + a_y b_y)]; valid for
     real amplitude pairs with quantization axis z.
     """
-    f_plus, f_minus = _require_real(amps)
+    f_plus, f_minus = amps.f_plus.real, _require_real(amps.f_minus)
     return -(a.z * b.z + 2.0 * f_plus * f_minus * (a.x * b.x + a.y * b.y))
 
 
@@ -167,11 +167,11 @@ def correlator_oracle(state: TwoSpinState, a: UnitVector3, b: UnitVector3) -> fl
 def bell_F_of(f_plus, f_minus, statistics: ExchangeStatistics = ExchangeStatistics.FERMION):
     """F = 5/4 + (3/2) sign f_plus f_minus from the real components of a normalized pair.
 
-    The components are floats, or equal-shape arrays over an angle grid
-    (from normalize_grid), for which F is computed element-wise.
+    The components are numbers, or equal-shape arrays over an angle grid
+    (from normalize_grid); a relative phase in f_minus raises ValueError.
     """
     # (1.5 * sign) first: the fermion value is bit-identical to 1.25 - 1.5 * f_plus * f_minus.
-    return 1.25 + 1.5 * statistics.sign * f_plus * f_minus
+    return 1.25 + 1.5 * statistics.sign * f_plus * _require_real(f_minus)
 
 
 def bell_F(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION) -> float:
@@ -181,8 +181,7 @@ def bell_F(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = Excha
     the outgoing state of that statistics; local realism requires F >= 1,
     so F < 1 is a violation.  Real amplitude pairs only.
     """
-    f_plus, f_minus = _require_real(amps)
-    return bell_F_of(f_plus, f_minus, statistics)
+    return bell_F_of(amps.f_plus.real, amps.f_minus, statistics)
 
 
 def is_violated(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION) -> bool:
@@ -193,36 +192,36 @@ def is_violated(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = 
 def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[float]:
     """Smallest angle in (0, pi/2] where the provider's fermion F(theta) crosses 1.
 
-    A fixed grid scan over the range brackets the first sign change of
-    F - 1 (robust against non-monotone providers), then bisection narrows
-    the bracket until its half-width drops below tol, or until the bracket
-    holds no float strictly inside it.  Returns None when F - 1 keeps a
-    single sign over the whole range.
+    F comes from normalize_grid and bell_F_of on angle grids, with one
+    provider call per angle (a Python float).  A 1024-angle grid brackets
+    the first sign change of F - 1 (robust against non-monotone providers),
+    then bisection on one-angle grids narrows the bracket until its
+    half-width drops below tol or no float lies strictly inside it.
+    Returns None when F - 1 keeps a single sign over the whole range.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    def gap(theta: float) -> float:
-        return bell_F(normalize(provider(theta))) - 1.0
+    def gap(thetas: list[float]) -> np.ndarray:
+        direct, exchange = np.array([(p.direct, p.exchange) for p in map(provider, thetas)]).T
+        return bell_F_of(*normalize_grid(AmplitudePair(direct, exchange))) - 1.0
 
-    thetas = np.linspace(_BRACKET_LO, math.pi / 2.0, _SCAN_POINTS)
-    values = [gap(float(t)) for t in thetas]
-
-    for i in range(_SCAN_POINTS - 1):
-        if values[i] == 0.0:
-            return float(thetas[i])
-        if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            lo, f_lo = float(thetas[i]), values[i]
-            hi = float(thetas[i + 1])
-            break
-    else:
-        return float(thetas[-1]) if values[-1] == 0.0 else None
+    thetas = np.linspace(_BRACKET_LO, math.pi / 2.0, _SCAN_POINTS).tolist()
+    values = gap(thetas)
+    # The first angle where F - 1 is 0 or has the other sign at the next angle.
+    hits = np.flatnonzero((values == 0.0) | np.append(np.diff(values < 0.0), False))
+    if hits.size == 0:
+        return None
+    i = int(hits[0])
+    if values[i] == 0.0:
+        return thetas[i]
+    lo, f_lo, hi = thetas[i], values[i], thetas[i + 1]
 
     while 0.5 * (hi - lo) > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        f_mid = gap(mid)
+        (f_mid,) = gap([mid])
         if f_mid == 0.0:
             return mid
         if (f_lo < 0.0) != (f_mid < 0.0):

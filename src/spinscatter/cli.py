@@ -91,6 +91,7 @@ def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: E
     """
     f_plus, f_minus = normalize_grid(provider(thetas))
     f_value = bell_F_of(f_plus, f_minus, statistics)
+    f_minus = f_minus.real  # bell_F_of has rejected a relative phase: what Im is left is round-off
     weights = (f_plus * f_plus, f_minus * f_minus)
     columns = (thetas, f_plus, f_minus, shannon_bits_grid(weights), f_value, f_value < 1.0, rank_of_weights(weights))
     return list(map(ScanRecord._make, zip(*[column.tolist() for column in columns])))

@@ -24,8 +24,9 @@ from spinscatter.amplitudes import (
     validate_angle,
 )
 from spinscatter.bell import UnitVector3
+from spinscatter.cli import evaluate_grid
 from spinscatter.entanglement import eoe_label_fixed
-from spinscatter.spin_states import SlaterDecomposition, TwoSpinState
+from spinscatter.spin_states import ExchangeStatistics, SlaterDecomposition, TwoSpinState
 
 MASSLESS = Kinematics(m=0.0, E=1.0)
 
@@ -133,6 +134,14 @@ class TestCoulombAmplitudes:
             there = provider(math.pi - theta)
             assert there.direct == pytest.approx(here.exchange, rel=1e-12)
             assert there.exchange == pytest.approx(here.direct, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [1e-9, math.pi - 1e-9], ids=["t-rounds-to-0", "u-rounds-to-0"])
+    def test_divergence_at_the_beam_axis(self, theta):
+        """Where cos theta rounds to +-1 the amplitude diverges: ValueError, scalar and array alike."""
+        with pytest.raises(ValueError, match=f"diverges at theta = {theta!r}"):
+            coulomb_amplitudes(theta, DEFAULT_KINEMATICS)
+        with pytest.raises(ValueError, match=f"diverges at theta = {theta!r}"):
+            coulomb_amplitudes(np.array([0.5, theta, 1.0]), DEFAULT_KINEMATICS)
 
 
 class TestNormalize:
@@ -276,8 +285,8 @@ class TestNormalizedPairValidation:
             NormalizedAmplitudePair(0.0, -1.0)
 
     def test_relative_phase_is_allowed(self):
-        assert not NormalizedAmplitudePair(0.6, 0.8j).is_real
-        assert NormalizedAmplitudePair(0.6, -0.8).is_real
+        assert NormalizedAmplitudePair(0.6, 0.8j).f_minus == 0.8j
+        assert NormalizedAmplitudePair(0.6, -0.8).f_minus == -0.8
 
 
 NAN = float("nan")
@@ -366,8 +375,19 @@ class TestGridForms:
             normalize_grid(AmplitudePair(np.array([0.6, 0.0, 1.0]), np.array([0.8, 0.0, 0.0])))
 
     def test_rejects_complex_channels(self):
-        with pytest.raises(ValueError, match="real"):
-            normalize_grid(AmplitudePair(np.array([0.6 + 0.1j]), np.array([0.8])))
+        """normalize_grid keeps a relative phase, as normalize does; evaluating the grid rejects it."""
+        rng = np.random.default_rng(21)
+        direct = rng.normal(size=200) + 1j * rng.normal(size=200)
+        exchange = rng.normal(size=200) + 1j * rng.normal(size=200)
+        direct[:2], exchange[2] = 0.0, 0.0
+        f_plus, f_minus = normalize_grid(AmplitudePair(direct, exchange))
+        for i in range(direct.size):
+            amps = normalize(AmplitudePair(complex(direct[i]), complex(exchange[i])))
+            assert f_plus[i] == pytest.approx(amps.f_plus, abs=1e-15)
+            assert f_minus[i] == pytest.approx(amps.f_minus, abs=1e-15)
+        phased = lambda thetas: AmplitudePair(np.full(thetas.shape, 0.6), np.full(thetas.shape, 0.8j))
+        with pytest.raises(ValueError, match="real channel amplitudes"):
+            evaluate_grid(np.array([0.5, 1.0]), phased, ExchangeStatistics.FERMION)
 
     def test_grid_norm_check_names_first_failure(self):
         check_unit_norm(np.array([1.0, 1.0 + 5e-13]), "norm")

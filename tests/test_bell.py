@@ -16,6 +16,7 @@ from spinscatter.bell import (
     BellGeometry,
     UnitVector3,
     bell_F,
+    bell_F_of,
     correlator_closed_form,
     correlator_oracle,
     critical_angle,
@@ -189,6 +190,8 @@ class TestBellF:
     def test_rejects_relative_phase(self):
         with pytest.raises(ValueError):
             bell_F(NormalizedAmplitudePair(0.6, 0.8j))
+        with pytest.raises(ValueError, match="correlator_oracle"):
+            bell_F_of(np.array([0.6, 0.6]), np.array([0.8, 0.8j]))
 
 
 class TestViolation:
@@ -237,3 +240,30 @@ class TestCriticalAngle:
         root = critical_angle(steep, tol=1e-20)
         # F = 5/4 - (3/4) sin(2 phi) first reaches 1 where sin(2 phi) = 1/3.
         assert root == pytest.approx(1.2 + (math.asin(1.0 / 3.0) / 2 - math.pi / 4) / 100.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "provider, tol, calls",
+        [(coulomb_provider(), 1e-10, 1047), (coulomb_provider(), 1e-12, 1054), (constant_provider(0.6), 1e-10, 1024)],
+        ids=["coulomb", "coulomb-1e-12", "constant-0.6"],
+    )
+    def test_provider_traffic(self, provider, tol, calls):
+        """One call per angle, each with a Python float: 1024 for the bracket scan, one per bisection step."""
+        seen = []
+
+        def recording(theta):
+            seen.append(type(theta))
+            return provider(theta)
+
+        critical_angle(recording, tol=tol)
+        assert seen == [float] * calls
+
+    def test_common_phase_gives_the_root_of_the_real_twin(self):
+        """A phase common to both channels drops out: the root is bit for bit the real pair's."""
+        phase = complex(math.cos(0.3), math.sin(0.3))
+        real_twin = critical_angle(lambda t: AmplitudePair(math.cos(t / 2), math.sin(t / 2)))
+        phased = critical_angle(lambda t: AmplitudePair(phase * math.cos(t / 2), phase * math.sin(t / 2)))
+        assert real_twin == phased == 0.33983690940795663
+
+    def test_relative_phase_rejected(self):
+        with pytest.raises(ValueError, match="correlator_oracle"):
+            critical_angle(lambda t: AmplitudePair(math.cos(t / 2), 1j * math.sin(t / 2)))

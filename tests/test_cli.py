@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spinscatter.amplitudes import normalize
+from spinscatter.amplitudes import AmplitudePair, normalize
 from spinscatter.bell import correlator_oracle, standard_geometry
 from spinscatter.cli import (
     CSV_HEADER,
@@ -135,6 +135,14 @@ class TestPointCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [("point", "1e-9"), ("scan", "--theta-min", "1e-9")], ids=["point", "scan"])
+    def test_beam_axis_divergence(self, capsys, argv):
+        """cos(1e-9) rounds to 1, so t = 0: one clear error line, no floating-point warning."""
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: Coulomb amplitude diverges at theta = 1e-09\n"
+
 
 class TestCriticalCommand:
     def test_coulomb(self, capsys):
@@ -147,6 +155,20 @@ class TestCriticalCommand:
         code, out, _ = run(capsys, "critical", "--interaction", "constant:0.6")
         assert code == 0
         assert out.strip() == "no crossing"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            ((), "theta_c = 0.785398163414 rad (45.000000000972 deg)"),
+            (("--tol", "1e-12"), "theta_c = 0.785398163398 rad (45.000000000030 deg)"),
+            (("--interaction", "constant:0.6"), "no crossing"),
+        ],
+        ids=["default", "tol-1e-12", "constant-0.6"],
+    )
+    def test_golden_stdout(self, capsys, argv, line):
+        code, out, _ = run(capsys, "critical", *argv)
+        assert code == 0
+        assert out == line + "\n"
 
     def test_bad_tolerance(self, capsys):
         code, _, err = run(capsys, "critical", "--tol", "-1")
@@ -222,6 +244,18 @@ class TestInternals:
         assert record.F == pytest.approx(0.8, abs=1e-12)
         assert record.violated is True
         assert record.slater_rank == 2
+
+    def test_common_phase_provider_gives_real_columns(self):
+        """A phase common to both channels drops out of every column."""
+        grid = np.array([0.3, 1.0, 1.5])
+        phase = complex(math.cos(0.3), math.sin(0.3))
+        real = lambda thetas: AmplitudePair(np.cos(thetas / 2), np.sin(thetas / 2))
+        phased = lambda thetas: AmplitudePair(phase * np.cos(thetas / 2), phase * np.sin(thetas / 2))
+        rows = [evaluate_grid(grid, provider, ExchangeStatistics.FERMION) for provider in (real, phased)]
+        for want, got in zip(*rows):
+            assert [type(v) for v in got] == [float] * 5 + [bool, int]
+            assert got[:5] == pytest.approx(want[:5], rel=1e-15, abs=1e-15)
+            assert got[5:] == want[5:]
 
     def test_records_are_plain_python_values(self):
         """Columns leave numpy as float / bool / int, so JSON and CSV see what the scalar path gave."""
