@@ -124,7 +124,8 @@ class NormalizedAmplitudePair:
     Convention: f_plus is real and nonnegative (if f_plus vanishes, the
     convention falls to f_minus instead).  Only the relative phase of the
     two components is physical; fixing the global phase this way makes
-    equal states compare equal.
+    equal states compare equal.  For an angle grid both components are
+    equal-shape arrays, and every element must pass both checks.
     """
 
     f_plus: complex
@@ -132,8 +133,8 @@ class NormalizedAmplitudePair:
 
     def __post_init__(self) -> None:
         check_unit_norm(abs(self.f_plus) ** 2 + abs(self.f_minus) ** 2, "|f_plus|^2 + |f_minus|^2")
-        anchor = self.f_minus if self.f_plus == 0 else self.f_plus
-        if abs(anchor.imag) > NORM_TOL or anchor.real < 0.0:
+        anchor = np.where(self.f_plus == 0, self.f_minus, self.f_plus)
+        if ((abs(anchor.imag) > NORM_TOL) | (anchor.real < 0.0)).any():
             raise ValueError("global phase not fixed: leading amplitude must be real and >= 0")
 
 
@@ -157,8 +158,9 @@ def _mandelstam_pair(theta, kin: Kinematics):
 def mandelstam_t(theta, kin: Kinematics):
     """Momentum transfer invariant of the direct channel.
 
-    t(theta) = 2 (m^2 - E^2) (1 - cos theta); strictly negative on (0, pi).
-    Element-wise for an angle array.
+    t(theta) = 2 (m^2 - E^2) (1 - cos theta); negative on (0, pi), except
+    that it is -0.0 where cos theta rounds to 1 (theta below about 1e-8, e.g.
+    1e-9).  Element-wise for an angle array.
     """
     return _mandelstam_pair(theta, kin)[0]
 
@@ -166,8 +168,9 @@ def mandelstam_t(theta, kin: Kinematics):
 def mandelstam_u(theta, kin: Kinematics):
     """Momentum transfer invariant of the exchange channel.
 
-    u(theta) = 2 (m^2 - E^2) (1 + cos theta) = t(pi - theta).  Element-wise
-    for an angle array.
+    u(theta) = 2 (m^2 - E^2) (1 + cos theta) = t(pi - theta); negative on
+    (0, pi), except that it is -0.0 where cos theta rounds to -1 (within
+    about 1e-8 of pi).  Element-wise for an angle array.
     """
     return _mandelstam_pair(theta, kin)[1]
 
@@ -177,44 +180,38 @@ def coulomb_amplitudes(theta, kin: Kinematics) -> AmplitudePair:
 
     Both components are real and negative; the coupling prefactor N is
     ``kin.charge_factor``.  An angle array gives a pair of arrays.  Where t
-    or u rounds to 0, next to the beam axis, the amplitude diverges: ValueError.
+    or u rounds to 0, next to the beam axis, the amplitude diverges; where
+    N/t or N/u exceeds the float range (a tiny energy scale), it overflows.
+    Either way: ValueError naming the first such angle.
     """
     t, u = _mandelstam_pair(theta, kin)
-    zero = (t == 0.0) | (u == 0.0)
-    if zero.any() if isinstance(zero, ndarray) else zero:
-        raise ValueError(f"Coulomb amplitude diverges at theta = {float(np.extract(zero, theta)[0])!r}")
     n = kin.charge_factor
-    return AmplitudePair(n / t, n / u)
+    if isinstance(t, ndarray):
+        with np.errstate(divide="ignore", over="ignore"):  # reported below, with the angle
+            direct, exchange = n / t, n / u
+        infinite = np.isinf(direct) | np.isinf(exchange)
+        failed = infinite.any()
+    else:
+        direct = n / t if t else math.inf
+        exchange = n / u if u else math.inf
+        failed = infinite = math.isinf(direct) or math.isinf(exchange)
+    if failed:
+        theta, t, u = (float(np.extract(infinite, x)[0]) for x in (theta, t, u))
+        what = "diverges" if t == 0.0 or u == 0.0 else "overflows"
+        raise ValueError(f"Coulomb amplitude {what} at theta = {theta!r}")
+    return AmplitudePair(direct, exchange)
 
 
 def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
     """Scale a channel pair to unit norm and fix the global phase.
 
-    The common phase is rotated away so that f_plus comes out real and
-    nonnegative (f_minus instead when the direct channel vanishes); the
-    relative phase between the channels is preserved exactly.
-    """
-    norm = math.hypot(abs(pair.direct), abs(pair.exchange))
-    if norm == 0.0:
-        raise ValueError("cannot normalize a pair that vanishes in both channels")
-    f_plus = complex(pair.direct) / norm
-    f_minus = complex(pair.exchange) / norm
-    if f_plus != 0:
-        phase = f_plus.conjugate() / abs(f_plus)
-        return NormalizedAmplitudePair(abs(f_plus), f_minus * phase)
-    return NormalizedAmplitudePair(0.0, abs(f_minus))
-
-
-def normalize_grid(pair: AmplitudePair) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of normalize for a pair of channel arrays over an angle grid.
-
-    Returns the arrays (f_plus, f_minus) under normalize's convention: each
-    pair is divided by math.hypot of its channel moduli (np.hypot rounds
-    differently in about 0.5% of inputs) and rotated so that f_plus is real
-    and nonnegative (f_minus where f_plus vanishes).  Real channels give the
-    real parts of normalize's result exactly; complex channels keep their
-    relative phase, to within an ulp of normalize.  |f_plus|^2 + |f_minus|^2
-    goes through check_unit_norm, so a NaN or +-inf anywhere raises ValueError.
+    Each pair is divided by math.hypot of its channel moduli (np.hypot
+    rounds differently in about 0.5% of inputs) and rotated so that f_plus
+    comes out real and nonnegative (f_minus instead where the direct channel
+    vanishes); the relative phase between the channels is preserved.  A pair
+    of numbers gives a pair of Python numbers; a pair of channel arrays over
+    an angle grid gives a pair of arrays.  NormalizedAmplitudePair checks
+    the result, so a NaN or +-inf anywhere raises ValueError.
     """
     direct, exchange = np.asarray(pair.direct), np.asarray(pair.exchange)
     moduli = np.abs(direct).ravel().tolist(), np.abs(exchange).ravel().tolist()
@@ -225,8 +222,9 @@ def normalize_grid(pair: AmplitudePair) -> tuple[np.ndarray, np.ndarray]:
         modulus = np.abs(f_plus)
         phase = np.conj(f_plus) / modulus  # +-1 exactly for real channels
     f_minus = np.where(modulus == 0.0, np.abs(f_minus), f_minus * phase)
-    check_unit_norm(modulus * modulus + np.abs(f_minus) ** 2, "|f_plus|^2 + |f_minus|^2")
-    return modulus, f_minus
+    if direct.ndim == 0:
+        return NormalizedAmplitudePair(modulus.item(), f_minus.item())
+    return NormalizedAmplitudePair(modulus, f_minus)
 
 
 def coulomb_f_pm(theta: float) -> tuple[float, float]:

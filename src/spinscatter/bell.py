@@ -18,8 +18,9 @@ with
 
 because |E(a,b) - E(a,c)| = 1 identically for that triple.  F < 1 flags a
 Bell violation; for fermions with Coulomb amplitudes the border is crossed
-at theta = pi/4.  critical_angle finds that crossing from F on angle grids
-(normalize_grid, then bell_F_of), with one provider call per angle.
+at theta = pi/4.  bell_F takes one normalized pair or the arrays of an
+angle grid; critical_angle finds the crossing from F on angle grids
+(normalize, then bell_F), with one provider call per angle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .amplitudes import NORM_TOL, AmplitudePair, AmplitudeProvider, NormalizedAmplitudePair, check_unit_norm, normalize_grid
+from .amplitudes import NORM_TOL, AmplitudePair, AmplitudeProvider, NormalizedAmplitudePair, check_unit_norm, normalize
 from .spin_states import ExchangeStatistics, TwoSpinState
 
 _ANGLE_AB = math.pi / 3
@@ -164,39 +165,32 @@ def correlator_oracle(state: TwoSpinState, a: UnitVector3, b: UnitVector3) -> fl
     return value.real
 
 
-def bell_F_of(f_plus, f_minus, statistics: ExchangeStatistics = ExchangeStatistics.FERMION):
-    """F = 5/4 + (3/2) sign f_plus f_minus from the real components of a normalized pair.
-
-    The components are numbers, or equal-shape arrays over an angle grid
-    (from normalize_grid); a relative phase in f_minus raises ValueError.
-    """
-    # (1.5 * sign) first: the fermion value is bit-identical to 1.25 - 1.5 * f_plus * f_minus.
-    return 1.25 + 1.5 * statistics.sign * f_plus * _require_real(f_minus)
-
-
-def bell_F(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION) -> float:
+def bell_F(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION):
     """Bell combination F = 5/4 + (3/2) sign f_plus f_minus for the canonical triple.
 
     sign is the exchange sign of the statistics.  F equals 1 + E(b, c) in
     the outgoing state of that statistics; local realism requires F >= 1,
-    so F < 1 is a violation.  Real amplitude pairs only.
+    so F < 1 is a violation.  A pair of numbers gives one F, a pair of
+    arrays over an angle grid the array of F.  Real amplitude pairs only:
+    a relative phase in f_minus raises ValueError.
     """
-    return bell_F_of(amps.f_plus.real, amps.f_minus, statistics)
+    # (1.5 * sign) first: the fermion value is bit-identical to 1.25 - 1.5 * f_plus * f_minus.
+    return 1.25 + 1.5 * statistics.sign * amps.f_plus.real * _require_real(amps.f_minus)
 
 
-def is_violated(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION) -> bool:
-    """True when the Bell combination falls strictly below the classical border."""
+def is_violated(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION):
+    """True when the Bell combination falls strictly below the classical border (element-wise for a grid)."""
     return bell_F(amps, statistics) < 1.0
 
 
 def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[float]:
     """Smallest angle in (0, pi/2] where the provider's fermion F(theta) crosses 1.
 
-    F comes from normalize_grid and bell_F_of on angle grids, with one
-    provider call per angle (a Python float).  A 1024-angle grid brackets
-    the first sign change of F - 1 (robust against non-monotone providers),
-    then bisection on one-angle grids narrows the bracket until its
-    half-width drops below tol or no float lies strictly inside it.
+    F comes from normalize and bell_F on angle grids, with one provider
+    call per angle (a Python float).  A 1024-angle grid brackets the first
+    sign change of F - 1 (robust against non-monotone providers), then
+    bisection on one-angle grids narrows the bracket until its half-width
+    drops below tol or no float lies strictly inside it.
     Returns None when F - 1 keeps a single sign over the whole range.
     """
     if not tol > 0.0:
@@ -204,7 +198,7 @@ def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[
 
     def gap(thetas: list[float]) -> np.ndarray:
         direct, exchange = np.array([(p.direct, p.exchange) for p in map(provider, thetas)]).T
-        return bell_F_of(*normalize_grid(AmplitudePair(direct, exchange))) - 1.0
+        return bell_F(normalize(AmplitudePair(direct, exchange))) - 1.0
 
     thetas = np.linspace(_BRACKET_LO, math.pi / 2.0, _SCAN_POINTS).tolist()
     values = gap(thetas)

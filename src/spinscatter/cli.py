@@ -19,9 +19,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .amplitudes import AmplitudeProvider, constant_provider, coulomb_provider, normalize_grid
-from .bell import bell_F_of, critical_angle
-from .entanglement import shannon_bits_grid
+from .amplitudes import AmplitudeProvider, constant_provider, coulomb_provider, normalize
+from .bell import bell_F, critical_angle
+from .entanglement import shannon_bits
 from .spin_states import ExchangeStatistics, rank_of_weights
 
 CSV_HEADER = "theta,f_plus,f_minus,entropy,F,violated,slater_rank"
@@ -89,11 +89,11 @@ def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: E
     pair and the exchange sign.  The provider is called once, on the whole
     grid.
     """
-    f_plus, f_minus = normalize_grid(provider(thetas))
-    f_value = bell_F_of(f_plus, f_minus, statistics)
-    f_minus = f_minus.real  # bell_F_of has rejected a relative phase: what Im is left is round-off
+    amps = normalize(provider(thetas))
+    f_value = bell_F(amps, statistics)
+    f_plus, f_minus = amps.f_plus, amps.f_minus.real  # bell_F has rejected a relative phase; Im is round-off
     weights = (f_plus * f_plus, f_minus * f_minus)
-    columns = (thetas, f_plus, f_minus, shannon_bits_grid(weights), f_value, f_value < 1.0, rank_of_weights(weights))
+    columns = (thetas, f_plus, f_minus, shannon_bits(weights), f_value, f_value < 1.0, rank_of_weights(weights))
     return list(map(ScanRecord._make, zip(*[column.tolist() for column in columns])))
 
 

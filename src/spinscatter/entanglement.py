@@ -16,46 +16,27 @@ import math
 import numpy as np
 
 from .amplitudes import check_unit_norm, coulomb_f_pm
-from .spin_states import TwoSpinState, reduced_density_matrix
+from .spin_states import TwoSpinState, finite_weights, reduced_density_matrix
 
 
-def shannon_bits(weights) -> float:
+def shannon_bits(weights):
     """Shannon entropy -sum w log2 w of a weight distribution, in bits.
 
     0 log 0 := 0; finite weights are clamped to [0, 1] to absorb round-off,
-    NaN and +-inf raise ValueError.
+    NaN and +-inf raise ValueError.  A sequence of numbers gives one entropy
+    (a Python float).  One equal-shape array per weight (for a scan, one per
+    determinant, over the angle grid) gives the array of entropies, element
+    by element.  The logarithm is math.log2 mapped element-wise, because
+    np.log2 rounds differently in about 0.2% of inputs.
     """
-    total = 0.0
-    for w in weights:
-        w = float(w)
-        if not math.isfinite(w):
-            raise ValueError(f"weights must be finite, got {w!r}")
-        w = min(max(w, 0.0), 1.0)
-        if w > 0.0:
-            total -= w * math.log2(w)
-    return total + 0.0  # never return -0.0
-
-
-def shannon_bits_grid(weights) -> np.ndarray:
-    """Array form of shannon_bits: the entropy of each column of a (k, n) weight array.
-
-    Row i holds the i-th weight of every distribution (for a scan, one row
-    per determinant and one column per angle).  Same rules and the same
-    arithmetic as shannon_bits, which it matches bit for bit: the logarithm
-    is math.log2 mapped element-wise, because np.log2 rounds differently in
-    about 0.2% of inputs.
-    """
-    w = np.asarray(weights, dtype=float)
-    finite = np.isfinite(w)
-    if not finite.all():
-        raise ValueError(f"weights must be finite, got {float(w[~finite].flat[0])!r}")
-    w = np.clip(w, 0.0, 1.0)
+    w = np.clip(finite_weights(weights), 0.0, 1.0)
     positive = np.where(w > 0.0, w, 1.0)  # 0 log 0 := 0, as log2(1) = 0
     log2 = np.fromiter(map(math.log2, positive.ravel().tolist()), float, w.size).reshape(w.shape)
     total = 0.0
     for term in w * log2:
         total = total - term
-    return total + 0.0
+    total = total + 0.0  # never return -0.0
+    return total if w.ndim > 1 else float(total)
 
 
 def _as_normalized(coeffs) -> np.ndarray:

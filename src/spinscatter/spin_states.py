@@ -102,16 +102,31 @@ def slater_decomposition(amps: NormalizedAmplitudePair) -> SlaterDecomposition:
     return SlaterDecomposition(amps.f_plus, -amps.f_minus)
 
 
+def finite_weights(weights) -> np.ndarray:
+    """Determinant weights as a float array; ValueError naming the first NaN or +-inf.
+
+    A sequence of numbers gives a 1-d array, one equal-shape array per
+    weight gives their stack.
+    """
+    w = np.asarray(weights, dtype=float)
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise ValueError(f"weights must be finite, got {float(w[~finite].flat[0])!r}")
+    return w
+
+
 def rank_of_weights(weights, epsilon: float = 1e-12):
     """Number of determinant weights |c|^2 above epsilon (1 or 2).
 
     Rank 1 means a single determinant, i.e. nothing beyond
     antisymmetrization; rank 2 is genuine two-particle entanglement.  With
     one equal-shape array per determinant (an angle grid), the result is
-    the integer array of ranks, element by element.
+    the integer array of ranks, element by element.  NaN and +-inf raise
+    ValueError.
     """
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
+    finite_weights(weights)
     return sum(w > epsilon for w in weights)
 
 

@@ -20,10 +20,9 @@ from spinscatter.amplitudes import (
     mandelstam_u,
     check_unit_norm,
     normalize,
-    normalize_grid,
     validate_angle,
 )
-from spinscatter.bell import UnitVector3
+from spinscatter.bell import UnitVector3, critical_angle
 from spinscatter.cli import evaluate_grid
 from spinscatter.entanglement import eoe_label_fixed
 from spinscatter.spin_states import ExchangeStatistics, SlaterDecomposition, TwoSpinState
@@ -142,6 +141,19 @@ class TestCoulombAmplitudes:
             coulomb_amplitudes(theta, DEFAULT_KINEMATICS)
         with pytest.raises(ValueError, match=f"diverges at theta = {theta!r}"):
             coulomb_amplitudes(np.array([0.5, theta, 1.0]), DEFAULT_KINEMATICS)
+
+    def test_overflow_at_a_tiny_energy_scale(self):
+        """N/t beyond the float range: ValueError naming the angle, not inf or a NaN norm error later."""
+        for energy in (1e-160, 1e-155):
+            kin = Kinematics(m=0.0, E=energy)
+            with pytest.raises(ValueError, match="overflows at theta = 0.5"):
+                coulomb_amplitudes(0.5, kin)
+            with pytest.raises(ValueError, match="overflows at theta = 0.5"):
+                coulomb_amplitudes(np.array([0.5, 1.0]), kin)
+        with pytest.raises(ValueError, match="overflows at theta = 1e-06"):
+            critical_angle(coulomb_provider(Kinematics(m=0.0, E=1e-155)))
+        in_range = normalize(coulomb_amplitudes(0.5, Kinematics(m=0.0, E=1e-150)))
+        assert in_range.f_plus == pytest.approx(coulomb_f_pm(0.5)[0], rel=1e-15)
 
 
 class TestNormalize:
@@ -357,10 +369,10 @@ class TestGridForms:
     def test_matches_scalar_normalize(self):
         direct = np.array([-0.5, -1.0, 0.0, 3.0, 1e-300, -2.0])
         exchange = np.array([-0.5, -1.0 / 3.0, 5.0, -4.0, 1e-300, 0.0])
-        f_plus, f_minus = normalize_grid(AmplitudePair(direct, exchange))
+        grid = normalize(AmplitudePair(direct, exchange))
         for i in range(direct.size):
             amps = normalize(AmplitudePair(float(direct[i]), float(exchange[i])))
-            assert (f_plus[i], f_minus[i]) == (amps.f_plus, amps.f_minus.real)
+            assert (grid.f_plus[i], grid.f_minus[i]) == (amps.f_plus, amps.f_minus)
 
     @pytest.mark.parametrize("bad", [NAN, INF, -INF])
     @pytest.mark.parametrize("channel", ["direct", "exchange"])
@@ -368,26 +380,50 @@ class TestGridForms:
         values = {"direct": np.array([0.6, 0.6, 0.6]), "exchange": np.array([0.8, 0.8, 0.8])}
         values[channel][1] = bad
         with pytest.raises(ValueError, match="must be 1"):
-            normalize_grid(AmplitudePair(values["direct"], values["exchange"]))
+            normalize(AmplitudePair(values["direct"], values["exchange"]))
+        with pytest.raises(ValueError, match="must be 1"):
+            normalize(AmplitudePair(float(values["direct"][1]), float(values["exchange"][1])))
 
     def test_rejects_one_vanishing_pair(self):
         with pytest.raises(ValueError, match="vanish"):
-            normalize_grid(AmplitudePair(np.array([0.6, 0.0, 1.0]), np.array([0.8, 0.0, 0.0])))
+            normalize(AmplitudePair(np.array([0.6, 0.0, 1.0]), np.array([0.8, 0.0, 0.0])))
 
     def test_rejects_complex_channels(self):
-        """normalize_grid keeps a relative phase, as normalize does; evaluating the grid rejects it."""
+        """A complex grid keeps its relative phase and matches its one-angle calls; evaluating the grid rejects it.
+
+        f_minus to an ulp only: numpy's vectorized complex multiply may round
+        differently from its 0-d one (it does on AVX-512 hosts).
+        """
         rng = np.random.default_rng(21)
         direct = rng.normal(size=200) + 1j * rng.normal(size=200)
         exchange = rng.normal(size=200) + 1j * rng.normal(size=200)
         direct[:2], exchange[2] = 0.0, 0.0
-        f_plus, f_minus = normalize_grid(AmplitudePair(direct, exchange))
+        grid = normalize(AmplitudePair(direct, exchange))
         for i in range(direct.size):
             amps = normalize(AmplitudePair(complex(direct[i]), complex(exchange[i])))
-            assert f_plus[i] == pytest.approx(amps.f_plus, abs=1e-15)
-            assert f_minus[i] == pytest.approx(amps.f_minus, abs=1e-15)
+            assert grid.f_plus[i] == amps.f_plus
+            assert grid.f_minus[i] == pytest.approx(amps.f_minus, abs=1e-15)
         phased = lambda thetas: AmplitudePair(np.full(thetas.shape, 0.6), np.full(thetas.shape, 0.8j))
         with pytest.raises(ValueError, match="real channel amplitudes"):
             evaluate_grid(np.array([0.5, 1.0]), phased, ExchangeStatistics.FERMION)
+
+    def test_one_angle_gives_python_numbers(self):
+        """One angle's pair normalizes to Python numbers, not 0-d arrays."""
+        real = normalize(AmplitudePair(-1.0, -1.0 / 3.0))
+        assert type(real.f_plus) is float and type(real.f_minus) is float
+        phased = normalize(AmplitudePair(1.0 + 1.0j, 2.0 - 0.5j))
+        assert type(phased.f_plus) is float and type(phased.f_minus) is complex
+
+    @pytest.mark.parametrize(
+        "f_plus, f_minus",
+        [([0.6, -0.6, 0.6], [0.8, 0.8, 0.8]), ([0.6, 0.6j, 0.6], [0.8, 0.8, 0.8]), ([0.6, 0.0, 0.6], [0.8, -1.0, 0.8])],
+        ids=["negative-f_plus", "complex-anchor", "negative-f_minus-at-zero-f_plus"],
+    )
+    def test_pair_rejects_one_unfixed_phase(self, f_plus, f_minus):
+        """A grid pair checks the phase convention on every element, not on the grid as a whole."""
+        NormalizedAmplitudePair(np.array([0.6, 0.0, 1.0]), np.array([0.8, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="global phase"):
+            NormalizedAmplitudePair(np.array(f_plus), np.array(f_minus))
 
     def test_grid_norm_check_names_first_failure(self):
         check_unit_norm(np.array([1.0, 1.0 + 5e-13]), "norm")

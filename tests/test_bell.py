@@ -16,7 +16,6 @@ from spinscatter.bell import (
     BellGeometry,
     UnitVector3,
     bell_F,
-    bell_F_of,
     correlator_closed_form,
     correlator_oracle,
     critical_angle,
@@ -191,7 +190,17 @@ class TestBellF:
         with pytest.raises(ValueError):
             bell_F(NormalizedAmplitudePair(0.6, 0.8j))
         with pytest.raises(ValueError, match="correlator_oracle"):
-            bell_F_of(np.array([0.6, 0.6]), np.array([0.8, 0.8j]))
+            bell_F(NormalizedAmplitudePair(np.array([0.6, 0.6]), np.array([0.8, 0.8j])))
+
+    def test_grid_matches_one_angle_calls(self):
+        """One angle's pair gives a Python float; a grid gives the same values element by element."""
+        pairs = [coulomb_pair(theta) for theta in (0.1, math.pi / 4, 1.0, math.pi / 2)]
+        grid = NormalizedAmplitudePair(np.array([p.f_plus for p in pairs]), np.array([p.f_minus for p in pairs]))
+        for statistics in ExchangeStatistics:
+            values = [bell_F(p, statistics) for p in pairs]
+            assert all(type(value) is float for value in values)
+            assert bell_F(grid, statistics).tolist() == values
+            assert is_violated(grid, statistics).tolist() == [is_violated(p, statistics) for p in pairs]
 
 
 class TestViolation:

@@ -12,7 +12,6 @@ from spinscatter.entanglement import (
     eoe_label_fixed,
     eoe_symmetrized,
     shannon_bits,
-    shannon_bits_grid,
 )
 from spinscatter.spin_states import (
     ExchangeStatistics,
@@ -148,7 +147,7 @@ class TestShannonBits:
         with pytest.raises(ValueError, match="finite"):
             shannon_bits(weights)
         with pytest.raises(ValueError, match="finite"):
-            shannon_bits_grid(np.array(weights).reshape(2, 1))
+            shannon_bits(np.array(weights).reshape(2, 1))
 
     def test_round_off_is_clamped(self):
         assert shannon_bits([1.0 + 1e-16, -1e-17]) == 0.0
@@ -156,6 +155,11 @@ class TestShannonBits:
 
     def test_grid_matches_scalar_per_column(self):
         weights = np.array([[1.0, 0.0, 0.9, 0.5, 1.0 + 1e-16, 0.999], [0.0, 1.0, 0.1, 0.5, -1e-17, 0.001]])
-        grid = shannon_bits_grid(weights)
+        grid = shannon_bits(weights)
         assert grid.tolist() == [shannon_bits(column) for column in weights.T.tolist()]
         assert not np.signbit(grid).any()
+
+    def test_one_distribution_gives_a_python_float(self):
+        assert type(shannon_bits([0.9, 0.1])) is float
+        assert type(shannon_bits(np.array([1.0, 0.0]))) is float
+        assert type(shannon_bits((np.float64(0.5), np.float64(0.5)))) is float

@@ -12,6 +12,7 @@ from spinscatter.spin_states import (
     TwoSpinState,
     distinguishable_outgoing_state,
     outgoing_state,
+    rank_of_weights,
     reduced_density_matrix,
     slater_decomposition,
     slater_rank,
@@ -117,6 +118,17 @@ class TestSlaterRank:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             slater_rank(SlaterDecomposition(1.0, 0.0), epsilon=-1e-9)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[float("nan"), float("nan")], [float("nan"), 0.5], [float("inf"), 0.0]],
+        ids=["nan-nan", "nan", "inf"],
+    )
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            rank_of_weights(weights)
+        with pytest.raises(ValueError, match="finite"):
+            rank_of_weights([np.array([0.5, w]) for w in weights])
 
     def test_near_forward_scattering_is_still_rank_two(self):
         """The exchange weight is tiny at small angles but above the default cut."""
