@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -76,9 +77,10 @@ class Kinematics:
 
     Parameters
     ----------
-    m : particle mass (m >= 0).
-    E : per-particle energy; must exceed the mass so that the momentum
-        transfer invariants are negative.
+    m : particle mass (m >= 0, finite).
+    E : per-particle energy (finite); must exceed the mass so that the
+        momentum transfer invariants are negative.  The scale 2 (m^2 - E^2)
+        must neither underflow to 0 nor overflow.
     charge_factor : overall coupling prefactor of the Coulomb amplitude.
         It cancels from every normalized quantity, so its value only
         matters if the raw amplitudes themselves are of interest.
@@ -89,12 +91,21 @@ class Kinematics:
     charge_factor: float = 1.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.m) and math.isfinite(self.E)):
+            raise ValueError(f"mass and energy must be finite, got m={self.m!r}, E={self.E!r}")
         if self.m < 0.0:
             raise ValueError(f"mass must be nonnegative, got {self.m!r}")
         if not self.E > self.m:
             raise ValueError(f"energy must exceed the mass, got E={self.E!r}, m={self.m!r}")
+        if not -math.inf < self.scale < 0.0:
+            raise ValueError(f"energy scale 2 (m^2 - E^2) is {self.scale!r} for m={self.m!r}, E={self.E!r}")
         if not self.charge_factor > 0.0:
             raise ValueError(f"charge_factor must be positive, got {self.charge_factor!r}")
+
+    @cached_property  # read on every provider call
+    def scale(self) -> float:
+        """2 (m^2 - E^2), the factor common to t and u; multiplies give inf or 0 where float ** 2 would raise."""
+        return 2.0 * (self.m * self.m - self.E * self.E)
 
 
 @dataclass(frozen=True)
@@ -147,12 +158,11 @@ class NormalizedAmplitudePair:
 AmplitudeProvider = Callable[[float], AmplitudePair]
 
 
-def _mandelstam_pair(theta, kin: Kinematics):
-    """(t, u) = 2 (m^2 - E^2) (1 -+ cos theta), from one angle check and one cosine."""
+def _cos_factors(theta):
+    """(1 - cos theta, 1 + cos theta), from one angle check and one cosine."""
     theta = validate_angle(theta)
     cos_theta = np.cos(theta) if isinstance(theta, ndarray) else math.cos(theta)
-    scale = 2.0 * (kin.m ** 2 - kin.E ** 2)
-    return scale * (1.0 - cos_theta), scale * (1.0 + cos_theta)
+    return 1.0 - cos_theta, 1.0 + cos_theta
 
 
 def mandelstam_t(theta, kin: Kinematics):
@@ -162,7 +172,7 @@ def mandelstam_t(theta, kin: Kinematics):
     that it is -0.0 where cos theta rounds to 1 (theta below about 1e-8, e.g.
     1e-9).  Element-wise for an angle array.
     """
-    return _mandelstam_pair(theta, kin)[0]
+    return kin.scale * _cos_factors(theta)[0]
 
 
 def mandelstam_u(theta, kin: Kinematics):
@@ -172,19 +182,21 @@ def mandelstam_u(theta, kin: Kinematics):
     (0, pi), except that it is -0.0 where cos theta rounds to -1 (within
     about 1e-8 of pi).  Element-wise for an angle array.
     """
-    return _mandelstam_pair(theta, kin)[1]
+    return kin.scale * _cos_factors(theta)[1]
 
 
 def coulomb_amplitudes(theta, kin: Kinematics) -> AmplitudePair:
     """Lowest-order Coulomb channel amplitudes (N/t, N/u).
 
     Both components are real and negative; the coupling prefactor N is
-    ``kin.charge_factor``.  An angle array gives a pair of arrays.  Where t
-    or u rounds to 0, next to the beam axis, the amplitude diverges; where
-    N/t or N/u exceeds the float range (a tiny energy scale), it overflows.
-    Either way: ValueError naming the first such angle.
+    ``kin.charge_factor``.  An angle array gives a pair of arrays.  Where
+    1 - cos theta or 1 + cos theta rounds to 0, next to the beam axis, the
+    amplitude diverges; where N/t or N/u exceeds the float range otherwise
+    (a tiny energy scale), it overflows.  Either way: ValueError naming the
+    first such angle.
     """
-    t, u = _mandelstam_pair(theta, kin)
+    minus, plus = _cos_factors(theta)
+    t, u = kin.scale * minus, kin.scale * plus
     n = kin.charge_factor
     if isinstance(t, ndarray):
         with np.errstate(divide="ignore", over="ignore"):  # reported below, with the angle
@@ -196,8 +208,8 @@ def coulomb_amplitudes(theta, kin: Kinematics) -> AmplitudePair:
         exchange = n / u if u else math.inf
         failed = infinite = math.isinf(direct) or math.isinf(exchange)
     if failed:
-        theta, t, u = (float(np.extract(infinite, x)[0]) for x in (theta, t, u))
-        what = "diverges" if t == 0.0 or u == 0.0 else "overflows"
+        theta, minus, plus = (float(np.extract(infinite, x)[0]) for x in (theta, minus, plus))
+        what = "diverges" if minus == 0.0 or plus == 0.0 else "overflows"
         raise ValueError(f"Coulomb amplitude {what} at theta = {theta!r}")
     return AmplitudePair(direct, exchange)
 
@@ -210,10 +222,12 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
     comes out real and nonnegative (f_minus instead where the direct channel
     vanishes); the relative phase between the channels is preserved.  A pair
     of numbers gives a pair of Python numbers; a pair of channel arrays over
-    an angle grid gives a pair of arrays.  NormalizedAmplitudePair checks
-    the result, so a NaN or +-inf anywhere raises ValueError.
+    an angle grid gives a pair of arrays, each element equal to its one-angle
+    result wherever it sits in the grid.  NormalizedAmplitudePair checks the
+    result, so a NaN or +-inf anywhere raises ValueError.
     """
-    direct, exchange = np.asarray(pair.direct), np.asarray(pair.exchange)
+    # Contiguous, because numpy's complex abs and divide round differently on strided arrays (a reversed view).
+    direct, exchange = np.asarray(pair.direct, order="C"), np.asarray(pair.exchange, order="C")
     moduli = np.abs(direct).ravel().tolist(), np.abs(exchange).ravel().tolist()
     norm = np.fromiter(map(math.hypot, *moduli), float, direct.size).reshape(direct.shape)
     with np.errstate(invalid="ignore"):  # NaN from inf / inf fails the norm check; from 0 / 0, np.where drops it
@@ -221,7 +235,14 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
         f_minus = exchange / norm
         modulus = np.abs(f_plus)
         phase = np.conj(f_plus) / modulus  # +-1 exactly for real channels
-    f_minus = np.where(modulus == 0.0, np.abs(f_minus), f_minus * phase)
+        if np.iscomplexobj(f_minus) or np.iscomplexobj(phase):
+            # numpy's SIMD complex multiply rounds differently from its scalar loop; real operations round alike.
+            a, b, c, d = f_minus.real, f_minus.imag, phase.real, phase.imag
+            rotated = np.empty(direct.shape, complex)
+            rotated.real, rotated.imag = a * c - b * d, a * d + b * c
+        else:
+            rotated = f_minus * phase
+    f_minus = np.where(modulus == 0.0, np.abs(f_minus), rotated)
     if direct.ndim == 0:
         return NormalizedAmplitudePair(modulus.item(), f_minus.item())
     return NormalizedAmplitudePair(modulus, f_minus)

@@ -1,8 +1,10 @@
 """Command-line front end: angle scans, single-point evaluation, critical angle.
 
-Emits CSV or JSON tables with the fields (theta, f_plus, f_minus, entropy,
-F, violated, slater_rank), suitable for regenerating the entropy and Bell
-curves.  Output is deterministic byte for byte for a fixed invocation.
+Emits CSV or JSON tables with the fields in FIELDS, suitable for
+regenerating the entropy and Bell curves.  Rows are plain tuples in FIELDS
+order, and both formats fill one template per row; the JSON bytes are those
+of json.dumps(indent=2).  Output is deterministic byte for byte for a fixed
+invocation.
 
 Exit status: 0 on success, 2 on usage or domain errors, 1 on runtime
 failures such as an unwritable output file.
@@ -11,11 +13,10 @@ failures such as an unwritable output file.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,29 +25,20 @@ from .bell import bell_F, critical_angle
 from .entanglement import shannon_bits
 from .spin_states import ExchangeStatistics, rank_of_weights
 
-CSV_HEADER = "theta,f_plus,f_minus,entropy,F,violated,slater_rank"
-_CSV_ROW = "%.12f,%.12f,%.12f,%.12f,%.12f,%s,%d\n"
+FIELDS = ("theta", "f_plus", "f_minus", "entropy", "F", "violated", "slater_rank")
+CSV_HEADER = ",".join(FIELDS)
+# One template per row.  JSON writes each value with str, which is repr (as in json.dumps) for the finite floats a
+# table holds: the norm check keeps NaN and inf out, and those two are written differently.
+_ROW = {
+    "csv": "%.12f,%.12f,%.12f,%.12f,%.12f,%s,%d\n",
+    "json": "  {\n" + ",\n".join(f'    "{name}": %s' for name in FIELDS) + "\n  }",
+}
 
 DEFAULT_THETA_MIN = 0.01
 DEFAULT_THETA_MAX = math.pi / 2.0
 DEFAULT_STEPS = 200
 
-_STATISTICS = {
-    "fermion": ExchangeStatistics.FERMION,
-    "boson": ExchangeStatistics.BOSON,
-}
-
-
-class ScanRecord(NamedTuple):
-    """One evaluated angle of a scan table."""
-
-    theta: float
-    f_plus: float
-    f_minus: float
-    entropy: float
-    F: float
-    violated: bool
-    slater_rank: int
+_STATISTICS = {"fermion": ExchangeStatistics.FERMION, "boson": ExchangeStatistics.BOSON}
 
 
 @dataclass(frozen=True)
@@ -80,41 +72,38 @@ def parse_interaction(text: str) -> AmplitudeProvider:
     raise ValueError(f"unknown interaction {text!r} (choose coulomb or constant:<f_plus>)")
 
 
-def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: ExchangeStatistics) -> list[ScanRecord]:
-    """Compute the records of an angle grid, one array expression per column.
+def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: ExchangeStatistics) -> list[tuple]:
+    """Compute the rows of an angle grid, one array expression per column.
 
     The outgoing state f_plus |ud> + sign f_minus |du> is already in Schmidt
     form, so every column follows from the normalized pair: the entropy and
     the Slater rank from the weights |f_plus|^2 and |f_minus|^2, F from the
     pair and the exchange sign.  The provider is called once, on the whole
-    grid.
+    grid.  Each row is a tuple of Python values in FIELDS order: five
+    floats, a bool and an int.
     """
     amps = normalize(provider(thetas))
     f_value = bell_F(amps, statistics)
     f_plus, f_minus = amps.f_plus, amps.f_minus.real  # bell_F has rejected a relative phase; Im is round-off
     weights = (f_plus * f_plus, f_minus * f_minus)
     columns = (thetas, f_plus, f_minus, shannon_bits(weights), f_value, f_value < 1.0, rank_of_weights(weights))
-    return list(map(ScanRecord._make, zip(*[column.tolist() for column in columns])))
+    return list(zip(*[column.tolist() for column in columns]))
 
 
-def scan_records(config: ScanConfig) -> list[ScanRecord]:
+def scan_records(config: ScanConfig) -> list[tuple]:
     """Evaluate the scan grid in ascending theta order."""
     provider = parse_interaction(config.interaction)
     thetas = np.linspace(config.theta_min, config.theta_max, config.steps)
     return evaluate_grid(thetas, provider, _STATISTICS[config.statistics])
 
 
-def render_csv(records: list[ScanRecord]) -> str:
-    rows = [_CSV_ROW % (*r[:5], "true" if r.violated else "false", r.slater_rank) for r in records]
-    return CSV_HEADER + "\n" + "".join(rows)
-
-
-def render_json(records: list[ScanRecord]) -> str:
-    return json.dumps([r._asdict() for r in records], indent=2) + "\n"
-
-
-def render(records: list[ScanRecord], fmt: str) -> str:
-    return render_csv(records) if fmt == "csv" else render_json(records)
+def render(rows: list[tuple], fmt: str) -> str:
+    """Format rows as a CSV table with its header line, or as an indented JSON array of objects."""
+    template = _ROW[fmt]
+    lines = [template % (*r[:5], "true" if r[5] else "false", r[6]) for r in rows]
+    if fmt == "csv":
+        return CSV_HEADER + "\n" + "".join(lines)
+    return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -130,7 +119,7 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_table(args: argparse.Namespace, records: Callable[[], list[ScanRecord]]) -> int:
+def _write_table(args: argparse.Namespace, records: Callable[[], list[tuple]]) -> int:
     """Evaluate, render and write a table; exit status 2 on ValueError, 1 on OSError."""
     try:
         rows = records()
@@ -144,21 +133,14 @@ def _write_table(args: argparse.Namespace, records: Callable[[], list[ScanRecord
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    def records() -> list[ScanRecord]:
-        config = ScanConfig(
-            theta_min=args.theta_min,
-            theta_max=args.theta_max,
-            steps=args.steps,
-            interaction=args.interaction,
-            statistics=args.statistics,
-        )
-        return scan_records(config)
+    def records() -> list[tuple]:
+        return scan_records(ScanConfig(args.theta_min, args.theta_max, args.steps, args.interaction, args.statistics))
 
     return _write_table(args, records)
 
 
 def cmd_point(args: argparse.Namespace) -> int:
-    def records() -> list[ScanRecord]:
+    def records() -> list[tuple]:
         if not 0.0 < args.theta <= math.pi / 2.0:
             raise ValueError(f"theta must lie in (0, pi/2], got {args.theta!r}")
         provider = parse_interaction(args.interaction)
@@ -211,11 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "scan": cmd_scan,
-    "point": cmd_point,
-    "critical": cmd_critical,
-}
+_HANDLERS = {"scan": cmd_scan, "point": cmd_point, "critical": cmd_critical}
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,8 @@ from spinscatter.entanglement import eoe_label_fixed
 from spinscatter.spin_states import ExchangeStatistics, SlaterDecomposition, TwoSpinState
 
 MASSLESS = Kinematics(m=0.0, E=1.0)
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestValidateAngle:
@@ -58,6 +61,25 @@ class TestKinematics:
 
     def test_massless_limit_is_allowed(self):
         assert Kinematics(m=0.0, E=1.0).E == 1.0
+
+    @pytest.mark.parametrize(
+        "m, E",
+        [(NAN, 1.0), (0.0, NAN), (0.0, INF), (1.0, INF), (-INF, 1.0)],
+        ids=["nan-mass", "nan-energy", "inf-energy-massless", "inf-energy", "minus-inf-mass"],
+    )
+    def test_rejects_non_finite_mass_or_energy(self, m, E):
+        with pytest.raises(ValueError, match=re.escape(f"must be finite, got m={m!r}, E={E!r}")):
+            Kinematics(m=m, E=E)
+
+    @pytest.mark.parametrize(
+        "m, E",
+        [(0.0, 1e-170), (1.0, 1e200), (1e200, 2e200)],
+        ids=["square-underflows", "square-overflows", "difference-is-nan"],
+    )
+    def test_rejects_scale_outside_float_range(self, m, E):
+        """2 (m^2 - E^2) that is 0, inf or NaN: a ValueError naming m and E, not a divergence or OverflowError later."""
+        with pytest.raises(ValueError, match=r"energy scale 2 \(m\^2 - E\^2\) is .* for " + re.escape(f"m={m!r}, E={E!r}")):
+            Kinematics(m=m, E=E)
 
 
 class TestMandelstamInvariants:
@@ -154,6 +176,16 @@ class TestCoulombAmplitudes:
             critical_angle(coulomb_provider(Kinematics(m=0.0, E=1e-155)))
         in_range = normalize(coulomb_amplitudes(0.5, Kinematics(m=0.0, E=1e-150)))
         assert in_range.f_plus == pytest.approx(coulomb_f_pm(0.5)[0], rel=1e-15)
+
+    def test_overflow_where_t_underflows(self):
+        """t = scale (1 - cos theta) rounds to 0 although 1 - cos theta does not: an overflow, not a divergence."""
+        kin = Kinematics(m=0.0, E=1e-160)
+        assert mandelstam_t(1e-6, kin) == 0.0
+        for theta in (1e-6, np.array([0.5, 1e-6])):
+            with pytest.raises(ValueError, match="overflows at theta = "):
+                coulomb_amplitudes(theta, kin)
+        with pytest.raises(ValueError, match="overflows at theta = 1e-06"):
+            critical_angle(coulomb_provider(kin))
 
 
 class TestNormalize:
@@ -301,10 +333,6 @@ class TestNormalizedPairValidation:
         assert NormalizedAmplitudePair(0.6, -0.8).f_minus == -0.8
 
 
-NAN = float("nan")
-INF = float("inf")
-
-
 class TestUnitNormCheck:
     """Every unit-norm check goes through check_unit_norm, which rejects NaN and inf."""
 
@@ -391,18 +419,25 @@ class TestGridForms:
     def test_rejects_complex_channels(self):
         """A complex grid keeps its relative phase and matches its one-angle calls; evaluating the grid rejects it.
 
-        f_minus to an ulp only: numpy's vectorized complex multiply may round
-        differently from its 0-d one (it does on AVX-512 hosts).
+        Bit for bit, wherever an element sits: the grid shifted by one
+        element and reversed gives the same values.  (numpy's vectorized
+        complex multiply rounds differently from its 0-d one on AVX-512
+        hosts, so normalize rotates complex pairs with real operations.)
         """
         rng = np.random.default_rng(21)
         direct = rng.normal(size=200) + 1j * rng.normal(size=200)
         exchange = rng.normal(size=200) + 1j * rng.normal(size=200)
         direct[:2], exchange[2] = 0.0, 0.0
         grid = normalize(AmplitudePair(direct, exchange))
+        shifted = normalize(AmplitudePair(direct[1:], exchange[1:]))
+        backward = normalize(AmplitudePair(direct[::-1], exchange[::-1]))
         for i in range(direct.size):
             amps = normalize(AmplitudePair(complex(direct[i]), complex(exchange[i])))
             assert grid.f_plus[i] == amps.f_plus
-            assert grid.f_minus[i] == pytest.approx(amps.f_minus, abs=1e-15)
+            assert grid.f_minus[i] == amps.f_minus
+            assert backward.f_plus[-1 - i] == amps.f_plus and backward.f_minus[-1 - i] == amps.f_minus
+            if i:
+                assert shifted.f_plus[i - 1] == amps.f_plus and shifted.f_minus[i - 1] == amps.f_minus
         phased = lambda thetas: AmplitudePair(np.full(thetas.shape, 0.6), np.full(thetas.shape, 0.8j))
         with pytest.raises(ValueError, match="real channel amplitudes"):
             evaluate_grid(np.array([0.5, 1.0]), phased, ExchangeStatistics.FERMION)

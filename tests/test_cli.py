@@ -11,12 +11,12 @@ from spinscatter.amplitudes import AmplitudePair, normalize
 from spinscatter.bell import correlator_oracle, standard_geometry
 from spinscatter.cli import (
     CSV_HEADER,
+    FIELDS,
     ScanConfig,
-    ScanRecord,
     evaluate_grid,
     main,
     parse_interaction,
-    render_csv,
+    render,
     scan_records,
 )
 from spinscatter.spin_states import ExchangeStatistics, outgoing_state
@@ -98,11 +98,20 @@ class TestScanCommand:
             ((), "8190fe1638dfccca814bd151addd9c0a3c84ec2689beea35808d9733afeb3574"),
             (("--interaction", "constant:0.6"), "1e9a1a467c081b734ad2ea59103ed4b4a50cb8f9b04fc1eaf5cba3a95998290b"),
             (("--steps", "100000"), "a0710443964afa638760074c620da76f1a400fd02b13e5d85a86d81e139fc9c0"),
+            (("--steps", "10000", "--format", "json"), "bb1460209592f1d6da9aed6364e08de685e0c17bcb98cbb4699ea4e358e6d7fa"),
+            (
+                ("--steps", "10000", "--format", "json", "--statistics", "boson"),
+                "5dcf71a85a4fa047ecae972240898e5af56ca57aa966cc2768f8d005cc36ee78",
+            ),
+            (
+                ("--interaction", "constant:0", "--format", "json"),
+                "975d97ed08d1a00fd1d5530f7f4d5f26faca994b46ae3322d24ad5318a70521a",
+            ),
         ],
-        ids=["default", "constant-0.6", "steps-100000"],
+        ids=["default", "constant-0.6", "steps-100000", "json-10000", "json-10000-boson", "json-constant-0"],
     )
     def test_golden_table(self, capsys, argv, digest):
-        """Fermion CSV tables are pinned byte for byte (sha256 of stdout)."""
+        """CSV and JSON tables, fermion and boson, are pinned byte for byte (sha256 of stdout)."""
         code, out, _ = run(capsys, "scan", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -129,6 +138,13 @@ class TestPointCommand:
         rows = json.loads(out)
         assert len(rows) == 1
         assert rows[0]["F"] == pytest.approx(0.8, abs=1e-12)
+
+    def test_golden_json(self, capsys):
+        code, out, _ = run(capsys, "point", "1.0", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "1cb1a9f572065ae4f730606e33682675bc6d2718259f4d6f8aaa8a9741eb75c2"
+        )
 
     def test_rejects_out_of_range(self, capsys):
         code, _, err = run(capsys, "point", "2.0")
@@ -227,23 +243,24 @@ class TestInternals:
             parse_interaction("yukawa")
 
     def test_grid_covers_endpoints(self):
-        records = scan_records(ScanConfig(theta_min=0.2, theta_max=1.5, steps=7))
-        assert len(records) == 7
-        assert records[0].theta == 0.2
-        assert records[-1].theta == 1.5
+        rows = scan_records(ScanConfig(theta_min=0.2, theta_max=1.5, steps=7))
+        assert len(rows) == 7
+        assert rows[0][0] == 0.2
+        assert rows[-1][0] == 1.5
 
     def test_render_csv_shape(self):
-        records = scan_records(ScanConfig(theta_min=0.3, theta_max=0.6, steps=2))
-        text = render_csv(records)
+        rows = scan_records(ScanConfig(theta_min=0.3, theta_max=0.6, steps=2))
+        text = render(rows, "csv")
         assert text.endswith("\n")
         assert text.count("\n") == 3
 
     def test_evaluate_angle_fields(self):
         """The one-angle grid that `point` evaluates."""
-        (record,) = evaluate_grid(np.array([math.pi / 3]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
-        assert record.F == pytest.approx(0.8, abs=1e-12)
-        assert record.violated is True
-        assert record.slater_rank == 2
+        (row,) = evaluate_grid(np.array([math.pi / 3]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
+        record = dict(zip(FIELDS, row))
+        assert record["F"] == pytest.approx(0.8, abs=1e-12)
+        assert record["violated"] is True
+        assert record["slater_rank"] == 2
 
     def test_common_phase_provider_gives_real_columns(self):
         """A phase common to both channels drops out of every column."""
@@ -259,8 +276,8 @@ class TestInternals:
 
     def test_records_are_plain_python_values(self):
         """Columns leave numpy as float / bool / int, so JSON and CSV see what the scalar path gave."""
-        (record,) = evaluate_grid(np.array([1.0]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
-        assert isinstance(record, ScanRecord) and record._fields == (
-            "theta", "f_plus", "f_minus", "entropy", "F", "violated", "slater_rank",
-        )
-        assert [type(v) for v in record] == [float] * 5 + [bool, int]
+        (row,) = evaluate_grid(np.array([1.0]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
+        assert FIELDS == ("theta", "f_plus", "f_minus", "entropy", "F", "violated", "slater_rank")
+        assert CSV_HEADER == ",".join(FIELDS)
+        assert type(row) is tuple and len(row) == len(FIELDS)
+        assert [type(v) for v in row] == [float] * 5 + [bool, int]

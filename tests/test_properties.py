@@ -1,12 +1,13 @@
 """Property tests: scan tables against one-angle calls of the same functions, closed forms against the Pauli oracle."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from spinscatter.amplitudes import AmplitudePair, constant_provider, normalize  # noqa: E402
@@ -18,7 +19,7 @@ from spinscatter.bell import (  # noqa: E402
     correlator_oracle,
     standard_geometry,
 )
-from spinscatter.cli import ScanConfig, scan_records  # noqa: E402
+from spinscatter.cli import FIELDS, ScanConfig, render, scan_records  # noqa: E402
 from spinscatter.entanglement import shannon_bits  # noqa: E402
 from spinscatter.spin_states import ExchangeStatistics, outgoing_state, rank_of_weights  # noqa: E402
 
@@ -26,6 +27,8 @@ HALF_PI = math.pi / 2.0
 STATISTICS = {"fermion": ExchangeStatistics.FERMION, "boson": ExchangeStatistics.BOSON}
 
 statistics_names = st.sampled_from(sorted(STATISTICS))
+scan_steps = st.integers(2, 400)
+constant_f_plus = st.one_of(st.sampled_from([0.0, 1.0, 1e-7, 0.999999]), st.floats(0.0, 1.0))
 # Direction of a real channel pair (cos phi, sin phi): every sign pattern, f_plus = 0 and f_minus = 0 included.
 pair_angles = st.one_of(
     st.sampled_from([0.0, HALF_PI, math.pi, -HALF_PI]),
@@ -62,8 +65,8 @@ def real_pair(phi):
 @settings(max_examples=80, deadline=None)
 @given(
     grid=scan_ranges(),
-    steps=st.integers(2, 400),
-    f_plus=st.one_of(st.sampled_from([0.0, 1.0, 1e-7, 0.999999]), st.floats(0.0, 1.0)),
+    steps=scan_steps,
+    f_plus=constant_f_plus,
     name=statistics_names,
 )
 def test_grid_matches_scalar_reference(grid, steps, f_plus, name):
@@ -80,6 +83,23 @@ def test_grid_matches_scalar_reference(grid, steps, f_plus, name):
         weights = (amps.f_plus * amps.f_plus, amps.f_minus.real * amps.f_minus.real)
         assert record[:3] == (theta, amps.f_plus, amps.f_minus.real)
         assert record[3:] == (shannon_bits(weights), f_value, f_value < 1.0, rank_of_weights(weights))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    grid=scan_ranges(),
+    steps=scan_steps,
+    interaction=st.one_of(st.just("coulomb"), constant_f_plus.map(lambda f_plus: f"constant:{f_plus!r}")),
+    name=statistics_names,
+)
+def test_json_template_matches_json_dumps(grid, steps, interaction, name):
+    """The hand-filled JSON template writes exactly the bytes of json.dumps(indent=2)."""
+    lo, hi = grid
+    assume(interaction != "coulomb" or lo > 1e-7)  # closer to the beam axis the Coulomb amplitude diverges
+    rows = scan_records(ScanConfig(lo, hi, steps, interaction=interaction, statistics=name))
+    want = json.dumps([dict(zip(FIELDS, row)) for row in rows], indent=2) + "\n"
+    # Compared line by line: on a failure, pytest diffs two long strings for minutes and two lists at once.
+    assert render(rows, "json").splitlines(keepends=True) == want.splitlines(keepends=True)
 
 
 @settings(max_examples=150, deadline=None)
