@@ -143,7 +143,8 @@ class NormalizedAmplitudePair:
     f_minus: complex
 
     def __post_init__(self) -> None:
-        check_unit_norm(abs(self.f_plus) ** 2 + abs(self.f_minus) ** 2, "|f_plus|^2 + |f_minus|^2")
+        p, m = abs(self.f_plus), abs(self.f_minus)
+        check_unit_norm(p * p + m * m, "|f_plus|^2 + |f_minus|^2")
         anchor = np.where(self.f_plus == 0, self.f_minus, self.f_plus)
         if ((abs(anchor.imag) > NORM_TOL) | (anchor.real < 0.0)).any():
             raise ValueError("global phase not fixed: leading amplitude must be real and >= 0")

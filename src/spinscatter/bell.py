@@ -1,23 +1,24 @@
 """Bell correlator, analyzer geometry and inequality test.
 
-For the outgoing state with real channel amplitudes and quantization axis
-z, the two-particle spin correlator for analyzer directions a and b has
-the closed form
+For a two-spin state alpha |ud> + beta |du> (quantization axis z) and
+z = alpha* beta, the correlator for analyzer directions a and b is
 
-    E(a, b) = <(sigma.a) x (sigma.b)> = -a_z b_z + 2 sign f_plus f_minus (a_x b_x + a_y b_y)
+    E(a, b) = -a_z b_z + 2 Re z (a_x b_x + a_y b_y) + 2 Im z (a_y b_x - a_x b_y).
 
-where sign is the exchange sign of the statistics (-1 for fermions, +1
-for bosons).
+The outgoing state has alpha = f_plus (real) and beta = sign f_minus, so
+z = sign f_plus f_minus, where sign is the exchange sign of the statistics
+(-1 for fermions, +1 for bosons).
 
 Three coplanar analyzer directions with pairwise angles (pi/3, 2pi/3,
 pi/3), the first along the quantization axis, turn the local-realism
 bound |E(a,b) - E(a,c)| <= 1 + E(b,c) into the scalar condition F >= 1
 with
 
-    F(theta) = 1 + E(b, c) = 5/4 + (3/2) sign f_plus f_minus,
+    F(theta) = 1 + E(b, c) = 5/4 + (3/2) sign f_plus Re f_minus,
 
-because |E(a,b) - E(a,c)| = 1 identically for that triple.  F < 1 flags a
-Bell violation; for fermions with Coulomb amplitudes the border is crossed
+because |E(a,b) - E(a,c)| = 1 identically for that triple, and b and c
+lie in the x-z plane, where the Im z term vanishes.  F < 1 flags a Bell
+violation; for fermions with Coulomb amplitudes the border is crossed
 at theta = pi/4.  bell_F takes one normalized pair or the arrays of an
 angle grid; critical_angle finds the crossing from F on angle grids
 (normalize, then bell_F), with one provider call per angle.
@@ -55,12 +56,12 @@ class UnitVector3:
     z: float
 
     def __post_init__(self) -> None:
-        check_unit_norm(self.x ** 2 + self.y ** 2 + self.z ** 2, "direction length |v|^2")
+        check_unit_norm(self.x * self.x + self.y * self.y + self.z * self.z, "direction length |v|^2")
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
         """Scale an arbitrary nonzero vector onto the unit sphere."""
-        n = math.sqrt(x * x + y * y + z * z)
+        n = math.hypot(x, y, z)
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(x / n, y / n, z / n)
@@ -118,25 +119,14 @@ def standard_geometry() -> BellGeometry:
     )
 
 
-def _require_real(f_minus):
-    """Real part of f_minus (a number or an array); ValueError if a relative phase exceeds NORM_TOL."""
-    real = abs(f_minus.imag) <= NORM_TOL
-    if not (real.all() if isinstance(real, np.ndarray) else real):
-        raise ValueError(
-            "closed form requires real channel amplitudes; "
-            "use correlator_oracle for pairs with a relative phase"
-        )
-    return f_minus.real
-
-
 def correlator_closed_form(a: UnitVector3, b: UnitVector3, amps: NormalizedAmplitudePair) -> float:
     """Spin correlator E(a, b) of the fermion outgoing state, closed form.
 
-    E(a, b) = -[a_z b_z + 2 f_plus f_minus (a_x b_x + a_y b_y)]; valid for
-    real amplitude pairs with quantization axis z.
+    E(a, b) = -[a_z b_z + 2 f_plus (Re f_minus (a_x b_x + a_y b_y) + Im f_minus (a_y b_x - a_x b_y))]
+    with quantization axis z, for any normalized pair (f_plus is real).
     """
-    f_plus, f_minus = amps.f_plus.real, _require_real(amps.f_minus)
-    return -(a.z * b.z + 2.0 * f_plus * f_minus * (a.x * b.x + a.y * b.y))
+    f_plus, real, imag = amps.f_plus.real, amps.f_minus.real, amps.f_minus.imag
+    return -(a.z * b.z + 2.0 * f_plus * (real * (a.x * b.x + a.y * b.y) + imag * (a.y * b.x - a.x * b.y)))
 
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -166,16 +156,17 @@ def correlator_oracle(state: TwoSpinState, a: UnitVector3, b: UnitVector3) -> fl
 
 
 def bell_F(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION):
-    """Bell combination F = 5/4 + (3/2) sign f_plus f_minus for the canonical triple.
+    """Bell combination F = 5/4 + (3/2) sign f_plus Re f_minus for the canonical triple.
 
     sign is the exchange sign of the statistics.  F equals 1 + E(b, c) in
-    the outgoing state of that statistics; local realism requires F >= 1,
-    so F < 1 is a violation.  A pair of numbers gives one F, a pair of
-    arrays over an angle grid the array of F.  Real amplitude pairs only:
-    a relative phase in f_minus raises ValueError.
+    the outgoing state of that statistics for any normalized pair: b and c
+    lie in the x-z plane, so a relative phase enters only through
+    Re f_minus.  Local realism requires F >= 1, so F < 1 is a violation.
+    A pair of numbers gives one F, a pair of arrays over an angle grid the
+    array of F.
     """
     # (1.5 * sign) first: the fermion value is bit-identical to 1.25 - 1.5 * f_plus * f_minus.
-    return 1.25 + 1.5 * statistics.sign * amps.f_plus.real * _require_real(amps.f_minus)
+    return 1.25 + 1.5 * statistics.sign * amps.f_plus.real * amps.f_minus.real
 
 
 def is_violated(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION):

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .amplitudes import AmplitudeProvider, constant_provider, coulomb_provider, normalize
+from .amplitudes import NORM_TOL, AmplitudeProvider, constant_provider, coulomb_provider, normalize
 from .bell import bell_F, critical_angle
 from .entanglement import shannon_bits
 from .spin_states import ExchangeStatistics, rank_of_weights
@@ -80,11 +80,14 @@ def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: E
     the Slater rank from the weights |f_plus|^2 and |f_minus|^2, F from the
     pair and the exchange sign.  The provider is called once, on the whole
     grid.  Each row is a tuple of Python values in FIELDS order: five
-    floats, a bool and an int.
+    floats, a bool and an int.  A table has no column for a phase: a relative
+    phase above NORM_TOL raises ValueError (normalize drops a common phase).
     """
     amps = normalize(provider(thetas))
+    if np.iscomplexobj(amps.f_minus) and (phased := np.abs(amps.f_minus.imag) > NORM_TOL).any():
+        raise ValueError(f"tables need real channel amplitudes; relative phase at theta = {float(thetas[phased][0])!r}")
     f_value = bell_F(amps, statistics)
-    f_plus, f_minus = amps.f_plus, amps.f_minus.real  # bell_F has rejected a relative phase; Im is round-off
+    f_plus, f_minus = amps.f_plus, amps.f_minus.real  # Im is round-off
     weights = (f_plus * f_plus, f_minus * f_minus)
     columns = (thetas, f_plus, f_minus, shannon_bits(weights), f_value, f_value < 1.0, rank_of_weights(weights))
     return list(zip(*[column.tolist() for column in columns]))

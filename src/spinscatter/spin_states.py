@@ -47,7 +47,7 @@ class TwoSpinState:
     c_downdown: complex
 
     def __post_init__(self) -> None:
-        check_unit_norm(sum(abs(c) ** 2 for c in self._coeffs()), "|psi|^2")
+        check_unit_norm(sum(m * m for m in map(abs, self._coeffs())), "|psi|^2")
 
     def _coeffs(self) -> tuple[complex, complex, complex, complex]:
         return (self.c_upup, self.c_updown, self.c_downup, self.c_downdown)
@@ -70,7 +70,8 @@ class SlaterDecomposition:
     c_minus_s: complex
 
     def __post_init__(self) -> None:
-        check_unit_norm(abs(self.c_s) ** 2 + abs(self.c_minus_s) ** 2, "|c_s|^2 + |c_minus_s|^2")
+        s, t = abs(self.c_s), abs(self.c_minus_s)
+        check_unit_norm(s * s + t * t, "|c_s|^2 + |c_minus_s|^2")
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -102,6 +103,9 @@ def slater_decomposition(amps: NormalizedAmplitudePair) -> SlaterDecomposition:
     return SlaterDecomposition(amps.f_plus, -amps.f_minus)
 
 
+RANK_EPSILON = 1e-12  # a determinant weight at or below this counts as absent (round-off of a unit-norm pair)
+
+
 def finite_weights(weights) -> np.ndarray:
     """Determinant weights as a float array; ValueError naming the first NaN or +-inf.
 
@@ -115,8 +119,8 @@ def finite_weights(weights) -> np.ndarray:
     return w
 
 
-def rank_of_weights(weights, epsilon: float = 1e-12):
-    """Number of determinant weights |c|^2 above epsilon (1 or 2).
+def rank_of_weights(weights):
+    """Number of determinant weights |c|^2 above RANK_EPSILON (1 or 2).
 
     Rank 1 means a single determinant, i.e. nothing beyond
     antisymmetrization; rank 2 is genuine two-particle entanglement.  With
@@ -124,15 +128,14 @@ def rank_of_weights(weights, epsilon: float = 1e-12):
     the integer array of ranks, element by element.  NaN and +-inf raise
     ValueError.
     """
-    if not epsilon >= 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
     finite_weights(weights)
-    return sum(w > epsilon for w in weights)
+    return sum(w > RANK_EPSILON for w in weights)
 
 
-def slater_rank(dec: SlaterDecomposition, epsilon: float = 1e-12) -> int:
+def slater_rank(dec: SlaterDecomposition) -> int:
     """Slater rank of a decomposition: rank_of_weights of its |c|^2."""
-    return rank_of_weights((abs(dec.c_s) ** 2, abs(dec.c_minus_s) ** 2), epsilon)
+    s, t = abs(dec.c_s), abs(dec.c_minus_s)
+    return rank_of_weights((s * s, t * t))
 
 
 def reduced_density_matrix(state: TwoSpinState, slot: int) -> np.ndarray:

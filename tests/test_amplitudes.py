@@ -346,10 +346,17 @@ class TestUnitNormCheck:
             lambda: SlaterDecomposition(NAN, 0.0),
             lambda: UnitVector3(NAN, 0.0, 0.0),
             lambda: eoe_label_fixed([NAN, 0.0]),
+            # A square that overflows is inf too: squared with multiplies, not float ** 2, which raises OverflowError.
+            lambda: NormalizedAmplitudePair(1e200, 0.0),
+            lambda: NormalizedAmplitudePair(0.0, 1e200j),
+            lambda: TwoSpinState(0.0, 1e200, 0.0, 0.0),
+            lambda: SlaterDecomposition(1e200, 0.0),
+            lambda: UnitVector3(1e200, 0.0, 0.0),
         ],
         ids=[
             "normalize-nan", "normalize-inf", "pair-nan", "state-nan",
             "slater-nan", "vector-nan", "entropy-nan",
+            "pair-huge", "pair-huge-complex", "state-huge", "slater-huge", "vector-huge",
         ],
     )
     def test_non_finite_input_rejected(self, build):

@@ -28,6 +28,7 @@ from spinscatter.spin_states import ExchangeStatistics, TwoSpinState, outgoing_s
 F_PI_8 = 1.1907435698305462
 
 X_HAT = UnitVector3(1.0, 0.0, 0.0)
+Y_HAT = UnitVector3(0.0, 1.0, 0.0)
 Z_HAT = UnitVector3(0.0, 0.0, 1.0)
 
 
@@ -55,6 +56,20 @@ class TestUnitVector:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             UnitVector3.normalized(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "raw, want",
+        [
+            ((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+            ((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+            ((3e-170, 4e-170, 0.0), (0.6, 0.8, 0.0)),
+        ],
+        ids=["huge", "tiny", "tiny-3-4-5"],
+    )
+    def test_normalized_at_extreme_scales(self, raw, want):
+        """The squared length would overflow or underflow; math.hypot does not."""
+        v = UnitVector3.normalized(*raw)
+        assert (v.x, v.y, v.z) == pytest.approx(want, abs=1e-15)
 
     def test_dot(self):
         assert X_HAT.dot(Z_HAT) == 0.0
@@ -114,9 +129,13 @@ class TestClosedForm:
         value = correlator_closed_form(X_HAT, X_HAT, coulomb_pair(math.pi / 3))
         assert value == pytest.approx(-0.6, abs=1e-12)
 
-    def test_rejects_relative_phase(self):
-        with pytest.raises(ValueError):
-            correlator_closed_form(X_HAT, Z_HAT, NormalizedAmplitudePair(0.6, 0.8j))
+    def test_relative_phase_matches_oracle(self):
+        """With a = x and b = y only the Im f_minus term survives: E = 2 f_plus Im f_minus = 0.96."""
+        amps = NormalizedAmplitudePair(0.6, 0.8j)
+        value = correlator_closed_form(X_HAT, Y_HAT, amps)
+        assert value == pytest.approx(0.96, abs=1e-15)
+        state = outgoing_state(amps, ExchangeStatistics.FERMION)
+        assert value == pytest.approx(correlator_oracle(state, X_HAT, Y_HAT), abs=1e-15)
 
     def test_bounded(self):
         rng = np.random.default_rng(2)
@@ -153,7 +172,7 @@ class TestOracle:
             )
 
     def test_handles_relative_phase(self):
-        """The oracle covers complex pairs the closed form refuses."""
+        """The oracle takes complex pairs too; axis spins stay opposite."""
         state = outgoing_state(NormalizedAmplitudePair(0.6, 0.8j), ExchangeStatistics.FERMION)
         assert correlator_oracle(state, Z_HAT, Z_HAT) == pytest.approx(-1.0, abs=1e-12)
 
@@ -186,11 +205,15 @@ class TestBellF:
         values = [bell_F(coulomb_pair(t)) for t in np.linspace(0.01, math.pi / 2, 400)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_rejects_relative_phase(self):
-        with pytest.raises(ValueError):
-            bell_F(NormalizedAmplitudePair(0.6, 0.8j))
-        with pytest.raises(ValueError, match="correlator_oracle"):
-            bell_F(NormalizedAmplitudePair(np.array([0.6, 0.6]), np.array([0.8, 0.8j])))
+    def test_relative_phase_is_one_plus_oracle(self):
+        """A relative phase enters F only through Re f_minus; one pair and a mixed grid alike."""
+        geo = standard_geometry()
+        pairs = [NormalizedAmplitudePair(0.6, f_minus) for f_minus in (0.8j, 0.8, -0.8j)]
+        grid = NormalizedAmplitudePair(np.array([0.6, 0.6, 0.6]), np.array([0.8j, 0.8, -0.8j]))
+        for statistics in ExchangeStatistics:
+            want = [1.0 + correlator_oracle(outgoing_state(p, statistics), geo.b_hat, geo.c_hat) for p in pairs]
+            assert bell_F(pairs[0], statistics) == pytest.approx(want[0], abs=1e-12)
+            assert bell_F(grid, statistics) == pytest.approx(want, abs=1e-12)
 
     def test_grid_matches_one_angle_calls(self):
         """One angle's pair gives a Python float; a grid gives the same values element by element."""
@@ -273,6 +296,12 @@ class TestCriticalAngle:
         phased = critical_angle(lambda t: AmplitudePair(phase * math.cos(t / 2), phase * math.sin(t / 2)))
         assert real_twin == phased == 0.33983690940795663
 
-    def test_relative_phase_rejected(self):
-        with pytest.raises(ValueError, match="correlator_oracle"):
-            critical_angle(lambda t: AmplitudePair(math.cos(t / 2), 1j * math.sin(t / 2)))
+    def test_relative_phase_root(self):
+        """F = 5/4 - (3/4) sin(theta) cos(psi) for f_minus with phase psi: the root is asin(1 / (3 cos psi)).
+
+        At psi = pi/2, Re f_minus = 0 keeps F at 5/4: no crossing.
+        """
+        phase = complex(math.cos(0.3), math.sin(0.3))
+        root = critical_angle(lambda t: AmplitudePair(math.cos(t / 2), phase * math.sin(t / 2)))
+        assert root == pytest.approx(math.asin(1.0 / (3.0 * math.cos(0.3))), abs=1e-10)
+        assert critical_angle(lambda t: AmplitudePair(math.cos(t / 2), 1j * math.sin(t / 2))) is None

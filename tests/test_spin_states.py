@@ -7,6 +7,7 @@ import pytest
 
 from spinscatter.amplitudes import NormalizedAmplitudePair, coulomb_f_pm
 from spinscatter.spin_states import (
+    RANK_EPSILON,
     ExchangeStatistics,
     SlaterDecomposition,
     TwoSpinState,
@@ -111,13 +112,11 @@ class TestSlaterRank:
         assert slater_rank(SlaterDecomposition(INV_SQRT2, -INV_SQRT2)) == 2
         assert slater_rank(SlaterDecomposition(math.sqrt(0.9), -math.sqrt(0.1))) == 2
 
-    def test_epsilon_threshold(self):
-        dec = SlaterDecomposition(math.sqrt(0.9), -math.sqrt(0.1))
-        assert slater_rank(dec, epsilon=0.5) == 1
-
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            slater_rank(SlaterDecomposition(1.0, 0.0), epsilon=-1e-9)
+    @pytest.mark.parametrize("weight, rank", [(1e-12, 1), (2e-12, 2)], ids=["at-cut", "above-cut"])
+    def test_cut_is_strictly_above_rank_epsilon(self, weight, rank):
+        """A weight of exactly RANK_EPSILON = 1e-12 counts as absent; twice that does not."""
+        assert RANK_EPSILON == 1e-12
+        assert rank_of_weights((1.0 - weight, weight)) == rank
 
     @pytest.mark.parametrize(
         "weights",
