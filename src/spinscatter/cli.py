@@ -1,9 +1,13 @@
 """Command-line front end: angle scans, single-point evaluation, critical angle.
 
 Emits CSV or JSON tables with the fields in FIELDS, suitable for
-regenerating the entropy and Bell curves.  Rows are plain tuples in FIELDS
-order, and both formats fill one template per row; the JSON bytes are those
-of json.dumps(indent=2).  Output is deterministic byte for byte for a fixed
+regenerating the entropy and Bell curves.  The angle grid is evaluated and
+checked whole, one numpy column per field; only then is the destination
+opened, and the table is written in blocks of BLOCK_ROWS rows, so that a
+long table never exists whole as Python rows or text.  Rows are plain
+tuples in FIELDS order, and both formats fill one template per row; the
+JSON bytes are those of json.dumps(indent=2), and the bytes do not depend
+on the block size.  Output is deterministic byte for byte for a fixed
 invocation.
 
 Exit status: 0 on success, 2 on usage or domain errors, 1 on runtime
@@ -13,7 +17,9 @@ failures such as an unwritable output file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -33,6 +39,11 @@ _ROW = {
     "csv": "%.12f,%.12f,%.12f,%.12f,%.12f,%s,%d\n",
     "json": "  {\n" + ",\n".join(f'    "{name}": %s' for name in FIELDS) + "\n  }",
 }
+# Head, separator between rows (and so between blocks) and tail of a table.
+_FRAME = {"csv": (CSV_HEADER + "\n", "", ""), "json": ("[\n", ",\n", "\n]\n")}
+# Rows turned into Python values and text at a time.  512-4096 give the same traced peak on a 20k-row scan, where
+# evaluation sets it; 16384 doubles it.
+BLOCK_ROWS = 4096
 
 DEFAULT_THETA_MIN = 0.01
 DEFAULT_THETA_MAX = math.pi / 2.0
@@ -72,15 +83,15 @@ def parse_interaction(text: str) -> AmplitudeProvider:
     raise ValueError(f"unknown interaction {text!r} (choose coulomb or constant:<f_plus>)")
 
 
-def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: ExchangeStatistics) -> list[tuple]:
-    """Compute the rows of an angle grid, one array expression per column.
+def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: ExchangeStatistics) -> tuple:
+    """Compute the columns of an angle grid, one array expression per column.
 
     The outgoing state f_plus |ud> + sign f_minus |du> is already in Schmidt
     form, so every column follows from the normalized pair: the entropy and
     the Slater rank from the weights |f_plus|^2 and |f_minus|^2, F from the
     pair and the exchange sign.  The provider is called once, on the whole
-    grid.  Each row is a tuple of Python values in FIELDS order: five
-    floats, a bool and an int.  A table has no column for a phase: a relative
+    grid.  Returns one numpy array per field, in FIELDS order; table_rows
+    turns them into rows.  A table has no column for a phase: a relative
     phase above NORM_TOL raises ValueError (normalize drops a common phase).
     """
     amps = normalize(provider(thetas))
@@ -89,32 +100,41 @@ def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: E
     f_value = bell_F(amps, statistics)
     f_plus, f_minus = amps.f_plus, amps.f_minus.real  # Im is round-off
     weights = (f_plus * f_plus, f_minus * f_minus)
-    columns = (thetas, f_plus, f_minus, shannon_bits(weights), f_value, f_value < 1.0, rank_of_weights(weights))
-    return list(zip(*[column.tolist() for column in columns]))
+    return thetas, f_plus, f_minus, shannon_bits(weights), f_value, f_value < 1.0, rank_of_weights(weights)
 
 
-def scan_records(config: ScanConfig) -> list[tuple]:
-    """Evaluate the scan grid in ascending theta order."""
+def table_rows(columns: tuple, start: int = 0, stop: Optional[int] = None) -> list[tuple]:
+    """Rows start:stop of evaluated columns, each a tuple of Python values in FIELDS order.
+
+    Five floats, a bool and an int, as the one-angle functions return them.
+    """
+    return list(zip(*[column[start:stop].tolist() for column in columns]))
+
+
+def scan_records(config: ScanConfig) -> tuple:
+    """Evaluate the scan grid in ascending theta order; the columns of evaluate_grid."""
     provider = parse_interaction(config.interaction)
     thetas = np.linspace(config.theta_min, config.theta_max, config.steps)
     return evaluate_grid(thetas, provider, _STATISTICS[config.statistics])
 
 
 def render(rows: list[tuple], fmt: str) -> str:
-    """Format rows as a CSV table with its header line, or as an indented JSON array of objects."""
+    """Format rows as a run of CSV lines or of indented JSON objects, without the table's head and tail."""
     template = _ROW[fmt]
-    lines = [template % (*r[:5], "true" if r[5] else "false", r[6]) for r in rows]
-    if fmt == "csv":
-        return CSV_HEADER + "\n" + "".join(lines)
-    return "[\n" + ",\n".join(lines) + "\n]\n"
+    return _FRAME[fmt][1].join([template % (*r[:5], "true" if r[5] else "false", r[6]) for r in rows])
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _emit(columns: tuple, fmt: str, output: Optional[str]) -> None:
+    """Write the table's head, its rows BLOCK_ROWS at a time, then its tail, to output or stdout."""
+    head, separator, tail = _FRAME[fmt]
+    to_file = output not in (None, "-")
+    with open(output, "w", encoding="utf-8", newline="") if to_file else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(head)
+        for start in range(0, len(columns[0]), BLOCK_ROWS):
+            if start:
+                fh.write(separator)
+            fh.write(render(table_rows(columns, start, start + BLOCK_ROWS), fmt))
+        fh.write(tail)
 
 
 def _fail(message: str, code: int) -> int:
@@ -122,34 +142,45 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_table(args: argparse.Namespace, records: Callable[[], list[tuple]]) -> int:
-    """Evaluate, render and write a table; exit status 2 on ValueError, 1 on OSError."""
+def _write_table(args: argparse.Namespace, evaluate: Callable[[], tuple]) -> int:
+    """Evaluate and check a whole table, then write it; exit status 2 on ValueError, 1 on OSError.
+
+    Every ValueError comes from evaluate, before the output file is opened.
+    """
     try:
-        rows = records()
+        columns = evaluate()
     except ValueError as exc:
         return _fail(str(exc), 2)
     try:
-        _emit(render(rows, args.format), args.output)
+        _emit(columns, args.format, args.output)
+    except BrokenPipeError as exc:
+        if args.output not in (None, "-"):
+            return _fail(str(exc), 1)
+        # The reader of stdout stopped early, as `| head` does: not a failure.  Point stdout at devnull, so that
+        # the interpreter's last flush does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except OSError as exc:
         return _fail(str(exc), 1)
     return 0
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    def records() -> list[tuple]:
+    def evaluate() -> tuple:
         return scan_records(ScanConfig(args.theta_min, args.theta_max, args.steps, args.interaction, args.statistics))
 
-    return _write_table(args, records)
+    return _write_table(args, evaluate)
 
 
 def cmd_point(args: argparse.Namespace) -> int:
-    def records() -> list[tuple]:
+    def evaluate() -> tuple:
         if not 0.0 < args.theta <= math.pi / 2.0:
             raise ValueError(f"theta must lie in (0, pi/2], got {args.theta!r}")
         provider = parse_interaction(args.interaction)
         return evaluate_grid(np.array([args.theta]), provider, _STATISTICS[args.statistics])
 
-    return _write_table(args, records)
+    return _write_table(args, evaluate)
 
 
 def cmd_critical(args: argparse.Namespace) -> int:

@@ -39,19 +39,15 @@ def shannon_bits(weights):
     return total if w.ndim > 1 else float(total)
 
 
-def _as_normalized(coeffs) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    check_unit_norm(float(np.sum(np.abs(c) ** 2)), "sum |c|^2")
-    return c
-
-
 def eoe_label_fixed(coeffs) -> float:
     """Entropy of entanglement with slot labels fixed: -sum |c|^2 log2 |c|^2.
 
     Zero for a single determinant, 1 bit for an equal-weight pair.
     """
-    c = _as_normalized(coeffs)
-    return shannon_bits(np.abs(c) ** 2)
+    moduli = map(abs, np.asarray(coeffs, dtype=complex).ravel().tolist())
+    weights = [m * m for m in moduli]  # a multiply on Python floats: a huge modulus gives inf, which fails the check
+    check_unit_norm(sum(weights), "sum |c|^2")
+    return shannon_bits(weights)
 
 
 def eoe_symmetrized(coeffs) -> float:

@@ -352,11 +352,12 @@ class TestUnitNormCheck:
             lambda: TwoSpinState(0.0, 1e200, 0.0, 0.0),
             lambda: SlaterDecomposition(1e200, 0.0),
             lambda: UnitVector3(1e200, 0.0, 0.0),
+            lambda: eoe_label_fixed([1e200, 0.0]),
         ],
         ids=[
             "normalize-nan", "normalize-inf", "pair-nan", "state-nan",
             "slater-nan", "vector-nan", "entropy-nan",
-            "pair-huge", "pair-huge-complex", "state-huge", "slater-huge", "vector-huge",
+            "pair-huge", "pair-huge-complex", "state-huge", "slater-huge", "vector-huge", "entropy-huge",
         ],
     )
     def test_non_finite_input_rejected(self, build):

@@ -3,13 +3,19 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import spinscatter
 from spinscatter.amplitudes import AmplitudePair, normalize
 from spinscatter.bell import correlator_oracle, standard_geometry
 from spinscatter.cli import (
+    BLOCK_ROWS,
     CSV_HEADER,
     FIELDS,
     ScanConfig,
@@ -18,6 +24,7 @@ from spinscatter.cli import (
     parse_interaction,
     render,
     scan_records,
+    table_rows,
 )
 from spinscatter.spin_states import ExchangeStatistics, outgoing_state
 
@@ -30,11 +37,14 @@ def run(capsys, *argv):
 
 class TestScanCommand:
     def test_header_and_row_count(self, capsys):
-        code, out, _ = run(capsys, "scan", "--steps", "5")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 6
+        """One header, one line per step and a final newline, also where the rows cross block boundaries."""
+        for steps in (5, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1):
+            code, out, _ = run(capsys, "scan", "--steps", str(steps))
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == CSV_HEADER
+            assert len(lines) == steps + 1
+            assert out.endswith("\n")
 
     def test_symmetric_point_row_bytes(self, capsys):
         """A scan ending at pi/2 closes with the singlet row."""
@@ -116,6 +126,23 @@ class TestScanCommand:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    def test_peak_memory_is_bounded(self, tmp_path):
+        """The table is written in blocks, so its rows and text never exist whole.
+
+        A 20k-step CSV scan traces about 3.5 MB at peak, most of it the evaluation's float lists; holding the
+        whole table as rows and text took about 10 MB.
+        """
+        target = str(tmp_path / "scan.csv")
+        assert main(["scan", "--steps", "20", "--output", target]) == 0  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--steps", "20000", "--output", target])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 6_000_000
+
     def test_constant_interaction(self, capsys):
         code, out, _ = run(capsys, "scan", "--steps", "3", "--interaction", "constant:0.6")
         assert code == 0
@@ -151,13 +178,19 @@ class TestPointCommand:
         assert code == 2
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("argv", [("point", "1e-9"), ("scan", "--theta-min", "1e-9")], ids=["point", "scan"])
-    def test_beam_axis_divergence(self, capsys, argv):
-        """cos(1e-9) rounds to 1, so t = 0: one clear error line, no floating-point warning."""
+    @pytest.mark.parametrize(
+        "argv",
+        [("point", "1e-9"), ("scan", "--theta-min", "1e-9"), ("scan", "--theta-min", "1e-9", "--output", "t.csv")],
+        ids=["point", "scan", "scan-to-file"],
+    )
+    def test_beam_axis_divergence(self, capsys, tmp_path, monkeypatch, argv):
+        """cos(1e-9) rounds to 1, so t = 0: one clear error line, no floating-point warning, no file created."""
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == "error: Coulomb amplitude diverges at theta = 1e-09\n"
+        assert not any(tmp_path.iterdir())
 
 
 class TestCriticalCommand:
@@ -225,6 +258,18 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_reader_closing_stdout_is_not_an_error(self):
+        """`scan | head`: the table is written block by block, and a reader that stops early ends it quietly."""
+        src = os.path.dirname(os.path.dirname(spinscatter.__file__))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-m", "spinscatter.cli", "scan", "--steps", "20000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == (CSV_HEADER + "\n").encode()
+            proc.stdout.close()  # 20k rows are far more than a pipe buffers
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
+
 
 class TestInternals:
     def test_scan_config_validation(self):
@@ -243,20 +288,23 @@ class TestInternals:
             parse_interaction("yukawa")
 
     def test_grid_covers_endpoints(self):
-        rows = scan_records(ScanConfig(theta_min=0.2, theta_max=1.5, steps=7))
+        rows = table_rows(scan_records(ScanConfig(theta_min=0.2, theta_max=1.5, steps=7)))
         assert len(rows) == 7
         assert rows[0][0] == 0.2
         assert rows[-1][0] == 1.5
 
     def test_render_csv_shape(self):
-        rows = scan_records(ScanConfig(theta_min=0.3, theta_max=0.6, steps=2))
+        """render writes one line per row; the header is the table's head, written once before the first block."""
+        rows = table_rows(scan_records(ScanConfig(theta_min=0.3, theta_max=0.6, steps=2)))
         text = render(rows, "csv")
         assert text.endswith("\n")
-        assert text.count("\n") == 3
+        assert text.count("\n") == 2
+        assert CSV_HEADER not in text
 
     def test_evaluate_angle_fields(self):
         """The one-angle grid that `point` evaluates."""
-        (row,) = evaluate_grid(np.array([math.pi / 3]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
+        columns = evaluate_grid(np.array([math.pi / 3]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
+        (row,) = table_rows(columns)
         record = dict(zip(FIELDS, row))
         assert record["F"] == pytest.approx(0.8, abs=1e-12)
         assert record["violated"] is True
@@ -268,7 +316,7 @@ class TestInternals:
         phase = complex(math.cos(0.3), math.sin(0.3))
         real = lambda thetas: AmplitudePair(np.cos(thetas / 2), np.sin(thetas / 2))
         phased = lambda thetas: AmplitudePair(phase * np.cos(thetas / 2), phase * np.sin(thetas / 2))
-        rows = [evaluate_grid(grid, provider, ExchangeStatistics.FERMION) for provider in (real, phased)]
+        rows = [table_rows(evaluate_grid(grid, provider, ExchangeStatistics.FERMION)) for provider in (real, phased)]
         for want, got in zip(*rows):
             assert [type(v) for v in got] == [float] * 5 + [bool, int]
             assert got[:5] == pytest.approx(want[:5], rel=1e-15, abs=1e-15)
@@ -276,7 +324,9 @@ class TestInternals:
 
     def test_records_are_plain_python_values(self):
         """Columns leave numpy as float / bool / int, so JSON and CSV see what the scalar path gave."""
-        (row,) = evaluate_grid(np.array([1.0]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
+        columns = evaluate_grid(np.array([1.0]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
+        assert len(columns) == len(FIELDS) and all(column.shape == (1,) for column in columns)
+        (row,) = table_rows(columns)
         assert FIELDS == ("theta", "f_plus", "f_minus", "entropy", "F", "violated", "slater_rank")
         assert CSV_HEADER == ",".join(FIELDS)
         assert type(row) is tuple and len(row) == len(FIELDS)

@@ -1,6 +1,8 @@
 """Property tests: scan tables against one-angle calls of the same functions, closed forms against the Pauli oracle."""
 
 import cmath
+import contextlib
+import io
 import json
 import math
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from spinscatter.amplitudes import AmplitudePair, constant_provider, normalize  # noqa: E402
@@ -20,7 +22,16 @@ from spinscatter.bell import (  # noqa: E402
     correlator_oracle,
     standard_geometry,
 )
-from spinscatter.cli import FIELDS, ScanConfig, evaluate_grid, parse_interaction, render, scan_records  # noqa: E402
+from spinscatter.cli import (  # noqa: E402
+    BLOCK_ROWS,
+    FIELDS,
+    ScanConfig,
+    evaluate_grid,
+    main,
+    parse_interaction,
+    scan_records,
+    table_rows,
+)
 from spinscatter.entanglement import shannon_bits  # noqa: E402
 from spinscatter.spin_states import ExchangeStatistics, outgoing_state, rank_of_weights  # noqa: E402
 
@@ -95,7 +106,7 @@ def test_grid_matches_scalar_reference(grid, steps, f_plus, name):
     """Each scan row equals normalize + bell_F + shannon_bits + rank_of_weights at its angle, exactly."""
     lo, hi = grid
     interaction = f"constant:{f_plus!r}"
-    records = scan_records(ScanConfig(lo, hi, steps, interaction=interaction, statistics=name))
+    records = table_rows(scan_records(ScanConfig(lo, hi, steps, interaction=interaction, statistics=name)))
     thetas = np.linspace(lo, hi, steps).tolist()
     provider = constant_provider(f_plus)
     assert records == [scalar_row(theta, provider, STATISTICS[name]) for theta in thetas]
@@ -107,9 +118,9 @@ def test_random_grid_rows_match_one_angle_rows(thetas, interaction, name):
     """Every row equals its one-angle row wherever the angle sits: on the grid, shifted by one and reversed."""
     provider, statistics = parse_interaction(interaction), STATISTICS[name]
     want = [scalar_row(theta, provider, statistics) for theta in thetas.tolist()]
-    assert evaluate_grid(thetas, provider, statistics) == want
-    assert evaluate_grid(thetas[1:], provider, statistics) == want[1:]
-    assert evaluate_grid(thetas[::-1], provider, statistics) == want[::-1]
+    assert table_rows(evaluate_grid(thetas, provider, statistics)) == want
+    assert table_rows(evaluate_grid(thetas[1:], provider, statistics)) == want[1:]
+    assert table_rows(evaluate_grid(thetas[::-1], provider, statistics)) == want[::-1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -119,14 +130,23 @@ def test_random_grid_rows_match_one_angle_rows(thetas, interaction, name):
     interaction=interactions,
     name=statistics_names,
 )
+# Tables that end just before, at and just after a block boundary, and one that spans three blocks.
+@example(grid=(0.01, HALF_PI), steps=BLOCK_ROWS - 1, interaction="coulomb", name="fermion")
+@example(grid=(0.01, HALF_PI), steps=BLOCK_ROWS, interaction="coulomb", name="boson")
+@example(grid=(0.01, HALF_PI), steps=BLOCK_ROWS + 1, interaction="constant:0.6", name="fermion")
+@example(grid=(0.01, HALF_PI), steps=2 * BLOCK_ROWS + 1, interaction="coulomb", name="fermion")
 def test_json_template_matches_json_dumps(grid, steps, interaction, name):
-    """The hand-filled JSON template writes exactly the bytes of json.dumps(indent=2)."""
+    """The JSON table `scan` writes, block by block, has exactly the bytes of json.dumps(indent=2)."""
     lo, hi = grid
     assume(interaction != "coulomb" or lo > 1e-7)  # closer to the beam axis the Coulomb amplitude diverges
-    rows = scan_records(ScanConfig(lo, hi, steps, interaction=interaction, statistics=name))
+    rows = table_rows(scan_records(ScanConfig(lo, hi, steps, interaction=interaction, statistics=name)))
     want = json.dumps([dict(zip(FIELDS, row)) for row in rows], indent=2) + "\n"
+    argv = ["scan", "--theta-min", repr(lo), "--theta-max", repr(hi), "--steps", str(steps)]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main([*argv, "--interaction", interaction, "--statistics", name, "--format", "json"])
+    assert code == 0
     # Compared line by line: on a failure, pytest diffs two long strings for minutes and two lists at once.
-    assert render(rows, "json").splitlines(keepends=True) == want.splitlines(keepends=True)
+    assert out.getvalue().splitlines(keepends=True) == want.splitlines(keepends=True)
 
 
 @settings(max_examples=150, deadline=None)
