@@ -1,17 +1,20 @@
 """Command-line front end: angle scans, single-point evaluation, critical angle.
 
 Emits CSV or JSON tables with the fields in FIELDS, suitable for
-regenerating the entropy and Bell curves.  The angle grid is evaluated and
-checked whole, one numpy column per field; only then is the destination
-opened, and the table is written in blocks of BLOCK_ROWS rows, so that a
-long table never exists whole as Python rows or text.  Rows are plain
-tuples in FIELDS order, and both formats fill one template per row; the
-JSON bytes are those of json.dumps(indent=2), and the bytes do not depend
-on the block size.  Output is deterministic byte for byte for a fixed
-invocation.
+regenerating the entropy and Bell curves.  `scan` and `point` share one
+path: angle_grid turns the options into an angle grid (`point` is a
+one-angle grid), evaluate_grid computes and checks it whole, one numpy
+column per field, and only then is the destination opened.  The table is
+written in blocks of BLOCK_ROWS rows, so that a long table never exists
+whole as Python rows or text.  Rows are plain tuples in FIELDS order, and
+both formats fill one template per row; the JSON bytes are those of
+json.dumps(indent=2), and the bytes do not depend on the block size.
+Output is deterministic byte for byte for a fixed invocation.
 
-Exit status: 0 on success, 2 on usage or domain errors, 1 on runtime
-failures such as an unwritable output file.
+Exit status, decided in main for every command: 0 on success, also when
+the reader of stdout stops early (`| head`); 2 on usage or domain errors,
+all raised before any output is opened; 1 on runtime failures such as an
+unwritable output file or a full device.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,23 +54,6 @@ DEFAULT_STEPS = 200
 _STATISTICS = {"fermion": ExchangeStatistics.FERMION, "boson": ExchangeStatistics.BOSON}
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """Scan parameters; angles in radians, range restricted to (0, pi/2]."""
-
-    theta_min: float
-    theta_max: float
-    steps: int
-    interaction: str = "coulomb"
-    statistics: str = "fermion"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta_min < self.theta_max <= math.pi / 2.0:
-            raise ValueError("scan range must satisfy 0 < theta-min < theta-max <= pi/2")
-        if self.steps < 2:
-            raise ValueError(f"a scan needs at least 2 steps, got {self.steps!r}")
-
-
 def parse_interaction(text: str) -> AmplitudeProvider:
     """Resolve an interaction name: 'coulomb' or 'constant:<f_plus>'."""
     if text == "coulomb":
@@ -81,6 +66,19 @@ def parse_interaction(text: str) -> AmplitudeProvider:
             raise ValueError(f"bad interaction {text!r}: expected constant:<f_plus>") from None
         return constant_provider(f_plus)
     raise ValueError(f"unknown interaction {text!r} (choose coulomb or constant:<f_plus>)")
+
+
+def angle_grid(args: argparse.Namespace) -> np.ndarray:
+    """The angles of a `scan` (ascending, both ends included) or of a `point`; ValueError outside (0, pi/2]."""
+    if args.command == "point":
+        if not 0.0 < args.theta <= math.pi / 2.0:
+            raise ValueError(f"theta must lie in (0, pi/2], got {args.theta!r}")
+        return np.array([args.theta])
+    if not 0.0 < args.theta_min < args.theta_max <= math.pi / 2.0:
+        raise ValueError("scan range must satisfy 0 < theta-min < theta-max <= pi/2")
+    if args.steps < 2:
+        raise ValueError(f"a scan needs at least 2 steps, got {args.steps!r}")
+    return np.linspace(args.theta_min, args.theta_max, args.steps)
 
 
 def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: ExchangeStatistics) -> tuple:
@@ -111,13 +109,6 @@ def table_rows(columns: tuple, start: int = 0, stop: Optional[int] = None) -> li
     return list(zip(*[column[start:stop].tolist() for column in columns]))
 
 
-def scan_records(config: ScanConfig) -> tuple:
-    """Evaluate the scan grid in ascending theta order; the columns of evaluate_grid."""
-    provider = parse_interaction(config.interaction)
-    thetas = np.linspace(config.theta_min, config.theta_max, config.steps)
-    return evaluate_grid(thetas, provider, _STATISTICS[config.statistics])
-
-
 def render(rows: list[tuple], fmt: str) -> str:
     """Format rows as a run of CSV lines or of indented JSON objects, without the table's head and tail."""
     template = _ROW[fmt]
@@ -135,65 +126,6 @@ def _emit(columns: tuple, fmt: str, output: Optional[str]) -> None:
                 fh.write(separator)
             fh.write(render(table_rows(columns, start, start + BLOCK_ROWS), fmt))
         fh.write(tail)
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _write_table(args: argparse.Namespace, evaluate: Callable[[], tuple]) -> int:
-    """Evaluate and check a whole table, then write it; exit status 2 on ValueError, 1 on OSError.
-
-    Every ValueError comes from evaluate, before the output file is opened.
-    """
-    try:
-        columns = evaluate()
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    try:
-        _emit(columns, args.format, args.output)
-    except BrokenPipeError as exc:
-        if args.output not in (None, "-"):
-            return _fail(str(exc), 1)
-        # The reader of stdout stopped early, as `| head` does: not a failure.  Point stdout at devnull, so that
-        # the interpreter's last flush does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    except OSError as exc:
-        return _fail(str(exc), 1)
-    return 0
-
-
-def cmd_scan(args: argparse.Namespace) -> int:
-    def evaluate() -> tuple:
-        return scan_records(ScanConfig(args.theta_min, args.theta_max, args.steps, args.interaction, args.statistics))
-
-    return _write_table(args, evaluate)
-
-
-def cmd_point(args: argparse.Namespace) -> int:
-    def evaluate() -> tuple:
-        if not 0.0 < args.theta <= math.pi / 2.0:
-            raise ValueError(f"theta must lie in (0, pi/2], got {args.theta!r}")
-        provider = parse_interaction(args.interaction)
-        return evaluate_grid(np.array([args.theta]), provider, _STATISTICS[args.statistics])
-
-    return _write_table(args, evaluate)
-
-
-def cmd_critical(args: argparse.Namespace) -> int:
-    try:
-        provider = parse_interaction(args.interaction)
-        root = critical_angle(provider, tol=args.tol)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    if root is None:
-        print("no crossing")
-    else:
-        print(f"theta_c = {root:.12f} rad ({math.degrees(root):.12f} deg)")
-    return 0
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -227,12 +159,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {"scan": cmd_scan, "point": cmd_point, "critical": cmd_critical}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    to_stdout = getattr(args, "output", None) in (None, "-")
+    try:
+        if args.command == "critical":
+            root = critical_angle(parse_interaction(args.interaction), tol=args.tol)
+            print("no crossing" if root is None else f"theta_c = {root:.12f} rad ({math.degrees(root):.12f} deg)")
+        else:
+            columns = evaluate_grid(angle_grid(args), parse_interaction(args.interaction), _STATISTICS[args.statistics])
+            _emit(columns, args.format, args.output)
+        sys.stdout.flush()  # a write to a full or closed stdout fails here, not in the interpreter's last flush
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if to_stdout:
+            # Point stdout at devnull, so that the interpreter's last flush does not raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                return 0  # the reader of stdout stopped early, as `| head` does: not a failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def entry_point() -> None:

@@ -18,12 +18,12 @@ from spinscatter.cli import (
     BLOCK_ROWS,
     CSV_HEADER,
     FIELDS,
-    ScanConfig,
+    angle_grid,
+    build_parser,
     evaluate_grid,
     main,
     parse_interaction,
     render,
-    scan_records,
     table_rows,
 )
 from spinscatter.spin_states import ExchangeStatistics, outgoing_state
@@ -33,6 +33,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def scan_rows(*options):
+    """The rows a fermion `scan` writes for these grid options: its own grid rule, then the table columns."""
+    args = build_parser().parse_args(["scan", *options])
+    provider = parse_interaction(args.interaction)
+    return table_rows(evaluate_grid(angle_grid(args), provider, ExchangeStatistics.FERMION))
 
 
 class TestScanCommand:
@@ -225,27 +232,46 @@ class TestCriticalCommand:
         assert err.startswith("error:")
 
 
+_RANGE = "error: scan range must satisfy 0 < theta-min < theta-max <= pi/2\n"
+_STEPS = "error: a scan needs at least 2 steps, got 1\n"
+_UNKNOWN = "error: unknown interaction 'nope' (choose coulomb or constant:<f_plus>)\n"
+# Each bad input with its one error line; where an input breaks two rules, the line names the one checked first.
+_USAGE_ERRORS = [
+    (("scan", "--theta-min", "-0.1"), _RANGE),
+    (("scan", "--theta-min", "1.0", "--theta-max", "0.5"), _RANGE),
+    (("scan", "--theta-max", "3.2"), _RANGE),
+    (("scan", "--steps", "1"), _STEPS),
+    (("scan", "--interaction", "nope"), _UNKNOWN),
+    (("scan", "--interaction", "constant:1.7"), "error: f_plus must lie in [0, 1], got 1.7\n"),
+    (("scan", "--interaction", "constant:abc"), "error: bad interaction 'constant:abc': expected constant:<f_plus>\n"),
+    (("point", "0.0"), "error: theta must lie in (0, pi/2], got 0.0\n"),
+    (("scan", "--theta-min", "nan"), _RANGE),
+    (("scan", "--theta-max", "inf"), _RANGE),
+    (("point", "nan"), "error: theta must lie in (0, pi/2], got nan\n"),
+    (("scan", "--theta-min", "0", "--theta-max", "1.0", "--steps", "10"), _RANGE),
+    (("scan", "--theta-min", "0.1", "--theta-max", "1.0", "--steps", "1"), _STEPS),
+    (("scan", "--theta-min", "0.1", "--theta-max", "3.141592653589793", "--steps", "10"), _RANGE),
+    (("scan", "--theta-min", "-0.1", "--interaction", "nope"), _RANGE),
+    (("point", "2.0", "--interaction", "nope"), "error: theta must lie in (0, pi/2], got 2.0\n"),
+    (("critical", "--interaction", "nope"), _UNKNOWN),
+    (("critical", "--tol", "nan"), "error: tol must be positive, got nan\n"),
+]
+# Outputs that fit in stdout's buffer (critical, point, a 3-row scan) and one far larger than a pipe holds.
+_STDOUT_COMMANDS = {
+    "critical": ("critical",),
+    "point": ("point", "1.0"),
+    "scan-3": ("scan", "--steps", "3"),
+    "scan-20000": ("scan", "--steps", "20000"),
+}
+
+
 class TestUsageErrors:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("scan", "--theta-min", "-0.1"),
-            ("scan", "--theta-min", "1.0", "--theta-max", "0.5"),
-            ("scan", "--theta-max", "3.2"),
-            ("scan", "--steps", "1"),
-            ("scan", "--interaction", "nope"),
-            ("scan", "--interaction", "constant:1.7"),
-            ("scan", "--interaction", "constant:abc"),
-            ("point", "0.0"),
-            ("scan", "--theta-min", "nan"),
-            ("scan", "--theta-max", "inf"),
-            ("point", "nan"),
-        ],
-    )
-    def test_exit_code_two(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
+    @pytest.mark.parametrize("argv, err", _USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(_USAGE_ERRORS))])
+    def test_exit_code_two(self, capsys, argv, err):
+        code, out, got = run(capsys, *argv)
         assert code == 2
-        assert err.startswith("error:")
+        assert out == ""
+        assert got == err
 
     def test_unknown_format_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -258,28 +284,41 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error:")
 
-    def test_reader_closing_stdout_is_not_an_error(self):
-        """`scan | head`: the table is written block by block, and a reader that stops early ends it quietly."""
+    @pytest.mark.parametrize("command", sorted(_STDOUT_COMMANDS))
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "stdout, want_code, want_err",
+        [("closed-pipe", 0, b""), ("dev-full", 1, b"error: [Errno 28] No space left on device\n")],
+        ids=["closed-pipe", "dev-full"],
+    )
+    def test_reader_closing_stdout_is_not_an_error(self, command, buffered, stdout, want_code, want_err):
+        """`| head`: a reader that stops early ends every command quietly with 0; a full device gives 1 and one line.
+
+        The pipe's read end is closed before the child starts, so every output fails, even one that fits in
+        stdout's buffer and so fails only at the flush, and without a race.
+        """
         src = os.path.dirname(os.path.dirname(spinscatter.__file__))
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        argv = [sys.executable, "-m", "spinscatter.cli", "scan", "--steps", "20000"]
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-            assert proc.stdout.readline() == (CSV_HEADER + "\n").encode()
-            proc.stdout.close()  # 20k rows are far more than a pipe buffers
-            err = proc.stderr.read()
-            assert proc.wait(timeout=60) == 0
-        assert err == b""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        if stdout == "dev-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            fd = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read_end, fd = os.pipe()
+            os.close(read_end)
+        argv = [sys.executable, "-m", "spinscatter.cli", *_STDOUT_COMMANDS[command]]
+        try:
+            proc = subprocess.run(argv, stdout=fd, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(fd)
+        assert proc.returncode == want_code
+        assert proc.stderr == want_err
 
 
 class TestInternals:
-    def test_scan_config_validation(self):
-        with pytest.raises(ValueError):
-            ScanConfig(theta_min=0.0, theta_max=1.0, steps=10)
-        with pytest.raises(ValueError):
-            ScanConfig(theta_min=0.1, theta_max=1.0, steps=1)
-        with pytest.raises(ValueError):
-            ScanConfig(theta_min=0.1, theta_max=math.pi, steps=10)
-
     def test_parse_interaction(self):
         assert parse_interaction("constant:0.25")(0.5).direct == 0.25
         with pytest.raises(ValueError):
@@ -288,14 +327,14 @@ class TestInternals:
             parse_interaction("yukawa")
 
     def test_grid_covers_endpoints(self):
-        rows = table_rows(scan_records(ScanConfig(theta_min=0.2, theta_max=1.5, steps=7)))
+        rows = scan_rows("--theta-min", "0.2", "--theta-max", "1.5", "--steps", "7")
         assert len(rows) == 7
         assert rows[0][0] == 0.2
         assert rows[-1][0] == 1.5
 
     def test_render_csv_shape(self):
         """render writes one line per row; the header is the table's head, written once before the first block."""
-        rows = table_rows(scan_records(ScanConfig(theta_min=0.3, theta_max=0.6, steps=2)))
+        rows = scan_rows("--theta-min", "0.3", "--theta-max", "0.6", "--steps", "2")
         text = render(rows, "csv")
         assert text.endswith("\n")
         assert text.count("\n") == 2

@@ -25,11 +25,11 @@ from spinscatter.bell import (  # noqa: E402
 from spinscatter.cli import (  # noqa: E402
     BLOCK_ROWS,
     FIELDS,
-    ScanConfig,
+    angle_grid,
+    build_parser,
     evaluate_grid,
     main,
     parse_interaction,
-    scan_records,
     table_rows,
 )
 from spinscatter.entanglement import shannon_bits  # noqa: E402
@@ -86,6 +86,15 @@ def phased_pair(phi, psi):
     return normalize(AmplitudePair(math.cos(phi), exchange))
 
 
+def scan_rows(lo, hi, steps, interaction, name):
+    """The rows `scan` writes over [lo, hi]: its own grid rule, then the table columns."""
+    args = build_parser().parse_args([
+        "scan", "--theta-min", repr(lo), "--theta-max", repr(hi), "--steps", str(steps),
+        "--interaction", interaction, "--statistics", name,
+    ])
+    return table_rows(evaluate_grid(angle_grid(args), parse_interaction(args.interaction), STATISTICS[args.statistics]))
+
+
 def scalar_row(theta, provider, statistics):
     """One table row from one-angle calls: provider, normalize, bell_F, shannon_bits, rank_of_weights."""
     amps = normalize(provider(theta))
@@ -106,7 +115,7 @@ def test_grid_matches_scalar_reference(grid, steps, f_plus, name):
     """Each scan row equals normalize + bell_F + shannon_bits + rank_of_weights at its angle, exactly."""
     lo, hi = grid
     interaction = f"constant:{f_plus!r}"
-    records = table_rows(scan_records(ScanConfig(lo, hi, steps, interaction=interaction, statistics=name)))
+    records = scan_rows(lo, hi, steps, interaction, name)
     thetas = np.linspace(lo, hi, steps).tolist()
     provider = constant_provider(f_plus)
     assert records == [scalar_row(theta, provider, STATISTICS[name]) for theta in thetas]
@@ -139,7 +148,7 @@ def test_json_template_matches_json_dumps(grid, steps, interaction, name):
     """The JSON table `scan` writes, block by block, has exactly the bytes of json.dumps(indent=2)."""
     lo, hi = grid
     assume(interaction != "coulomb" or lo > 1e-7)  # closer to the beam axis the Coulomb amplitude diverges
-    rows = table_rows(scan_records(ScanConfig(lo, hi, steps, interaction=interaction, statistics=name)))
+    rows = scan_rows(lo, hi, steps, interaction, name)
     want = json.dumps([dict(zip(FIELDS, row)) for row in rows], indent=2) + "\n"
     argv = ["scan", "--theta-min", repr(lo), "--theta-max", repr(hi), "--steps", str(steps)]
     with contextlib.redirect_stdout(io.StringIO()) as out:
