@@ -26,12 +26,32 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-# Bound once: the isinstance checks that tell one angle from a grid run on every one-angle provider call.  The one
-# in check_unit_norm is off that path but stays: np.all costs about 4 us a scalar call, the branch about 0.2 us.
+# Bound once: the isinstance checks that tell one angle from a grid run on every one-angle provider call.
 from numpy import ndarray
 
 # Shared tolerance for "is this normalized / real" checks on constructed values.
 NORM_TOL = 1e-12
+# Grid elements turned into Python values at a time, by exact_map and by cli's table writer.  Traced scan peaks at
+# 1024 / 4096 / 16384: 2.3 / 2.8 / 8.1 MB for 20k rows, 11.2 / 11.2 / 12.3 MB for 100k (normalize's arrays).
+BLOCK_ROWS = 4096
+
+
+def exact_map(fn, *arrays) -> ndarray:
+    """fn, a float function from math, mapped over equal-shape arrays BLOCK_ROWS elements at a time; a float array.
+
+    Not numpy's cos, hypot or log2 ufuncs, which may round an element unlike math (as one-angle calls use it) and unlike
+    another numpy build or CPU: so a grid element equals its one-angle result by construction.
+    """
+    flat = [a.ravel() for a in arrays]
+    out = np.empty(flat[0].size)
+    for i in range(0, out.size, BLOCK_ROWS):
+        out[i : i + BLOCK_ROWS] = np.fromiter(map(fn, *(a[i : i + BLOCK_ROWS].tolist() for a in flat)), float)
+    return out.reshape(arrays[0].shape)
+
+
+def first_failure(ok, values):
+    """None if the check ok holds at every element, else the first element of values where it fails, as a float."""
+    return None if np.asarray(ok).all() else float(np.extract(np.logical_not(ok), values)[0])
 
 
 def check_unit_norm(norm_sq, what: str) -> None:
@@ -40,14 +60,8 @@ def check_unit_norm(norm_sq, what: str) -> None:
     norm_sq may also be an array over an angle grid; it passes only if every
     element does, and the error names the first element that fails.
     """
-    ok = abs(norm_sq - 1.0) <= NORM_TOL
-    if isinstance(ok, ndarray):
-        if ok.all():
-            return
-        norm_sq = float(norm_sq[~ok].flat[0])
-    elif ok:
-        return
-    raise ValueError(f"{what} must be 1, got {norm_sq!r}")
+    if (bad := first_failure(abs(norm_sq - 1.0) <= NORM_TOL, norm_sq)) is not None:
+        raise ValueError(f"{what} must be 1, got {bad!r}")
 
 
 def validate_angle(theta):
@@ -60,15 +74,14 @@ def validate_angle(theta):
     does; NaN never does.
     """
     if isinstance(theta, ndarray):
-        outside = theta[~((0.0 < theta) & (theta < math.pi))]
-        if outside.size == 0:
+        if (outside := first_failure((0.0 < theta) & (theta < math.pi), theta)) is None:
             return theta
-        theta = outside.flat[0]
+        theta = outside
     else:
         theta = float(theta)
         if 0.0 < theta < math.pi:
             return theta
-    raise ValueError(f"scattering angle must lie strictly in (0, pi), got {float(theta)!r}")
+    raise ValueError(f"scattering angle must lie strictly in (0, pi), got {theta!r}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +175,7 @@ AmplitudeProvider = Callable[[float], AmplitudePair]
 def _cos_factors(theta):
     """(1 - cos theta, 1 + cos theta), from one angle check and one cosine."""
     theta = validate_angle(theta)
-    cos_theta = np.cos(theta) if isinstance(theta, ndarray) else math.cos(theta)
+    cos_theta = exact_map(math.cos, theta) if isinstance(theta, ndarray) else math.cos(theta)
     return 1.0 - cos_theta, 1.0 + cos_theta
 
 
@@ -218,10 +231,9 @@ def coulomb_amplitudes(theta, kin: Kinematics) -> AmplitudePair:
 def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
     """Scale a channel pair to unit norm and fix the global phase.
 
-    Each pair is divided by math.hypot of its channel moduli (np.hypot
-    rounds differently in about 0.5% of inputs) and rotated so that f_plus
-    comes out real and nonnegative (f_minus instead where the direct channel
-    vanishes); the relative phase between the channels is preserved.  A pair
+    Each pair is divided by math.hypot of its channel moduli and rotated so
+    that f_plus comes out real and nonnegative (f_minus instead where the
+    direct channel vanishes); the relative phase is preserved.  A pair
     of numbers gives a pair of Python numbers; a pair of channel arrays over
     an angle grid gives a pair of arrays, each element equal to its one-angle
     result wherever it sits in the grid.  NormalizedAmplitudePair checks the
@@ -229,8 +241,7 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
     """
     # Contiguous, because numpy's complex abs and divide round differently on strided arrays (a reversed view).
     direct, exchange = np.asarray(pair.direct, order="C"), np.asarray(pair.exchange, order="C")
-    moduli = np.abs(direct).ravel().tolist(), np.abs(exchange).ravel().tolist()
-    norm = np.fromiter(map(math.hypot, *moduli), float, direct.size).reshape(direct.shape)
+    norm = exact_map(math.hypot, np.abs(direct), np.abs(exchange))
     with np.errstate(invalid="ignore"):  # NaN from inf / inf fails the norm check; from 0 / 0, np.where drops it
         f_plus = direct / norm
         f_minus = exchange / norm

@@ -14,7 +14,7 @@ Output is deterministic byte for byte for a fixed invocation.
 Exit status, decided in main for every command: 0 on success, also when
 the reader of stdout stops early (`| head`); 2 on usage or domain errors,
 all raised before any output is opened; 1 on runtime failures such as an
-unwritable output file or a full device.
+unwritable output file, a full device or running out of memory.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .amplitudes import NORM_TOL, AmplitudeProvider, constant_provider, coulomb_provider, normalize
+from .amplitudes import BLOCK_ROWS, NORM_TOL, AmplitudeProvider, constant_provider, coulomb_provider, normalize
 from .bell import bell_F, critical_angle
 from .entanglement import shannon_bits
 from .spin_states import ExchangeStatistics, rank_of_weights
@@ -43,9 +43,6 @@ _ROW = {
 }
 # Head, separator between rows (and so between blocks) and tail of a table.
 _FRAME = {"csv": (CSV_HEADER + "\n", "", ""), "json": ("[\n", ",\n", "\n]\n")}
-# Rows turned into Python values and text at a time.  512-4096 give the same traced peak on a 20k-row scan, where
-# evaluation sets it; 16384 doubles it.
-BLOCK_ROWS = 4096
 
 DEFAULT_THETA_MIN = 0.01
 DEFAULT_THETA_MAX = math.pi / 2.0
@@ -173,7 +170,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         if to_stdout:
             # Point stdout at devnull, so that the interpreter's last flush does not raise again.
             devnull = os.open(os.devnull, os.O_WRONLY)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .amplitudes import check_unit_norm, coulomb_f_pm
+from .amplitudes import check_unit_norm, coulomb_f_pm, exact_map
 from .spin_states import TwoSpinState, finite_weights, reduced_density_matrix
 
 
@@ -26,12 +26,10 @@ def shannon_bits(weights):
     NaN and +-inf raise ValueError.  A sequence of numbers gives one entropy
     (a Python float).  One equal-shape array per weight (for a scan, one per
     determinant, over the angle grid) gives the array of entropies, element
-    by element.  The logarithm is math.log2 mapped element-wise, because
-    np.log2 rounds differently in about 0.2% of inputs.
+    by element, with math.log2 through exact_map.
     """
     w = np.clip(finite_weights(weights), 0.0, 1.0)
-    positive = np.where(w > 0.0, w, 1.0)  # 0 log 0 := 0, as log2(1) = 0
-    log2 = np.fromiter(map(math.log2, positive.ravel().tolist()), float, w.size).reshape(w.shape)
+    log2 = exact_map(math.log2, np.where(w > 0.0, w, 1.0))  # 0 log 0 := 0, as log2(1) = 0
     total = 0.0
     for term in w * log2:
         total = total - term

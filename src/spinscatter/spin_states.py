@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NormalizedAmplitudePair, check_unit_norm
+from .amplitudes import NormalizedAmplitudePair, check_unit_norm, first_failure
 
 
 class ExchangeStatistics(enum.Enum):
@@ -33,7 +33,7 @@ class ExchangeStatistics(enum.Enum):
     BOSON = 1
 
     def __init__(self, sign: int) -> None:
-        # A plain attribute, not a property: bell_F reads it on every angle.
+        # A plain attribute: bell_F reads it once per angle grid (a scan, or one bisection step of critical_angle).
         self.sign = sign
 
 
@@ -113,9 +113,8 @@ def finite_weights(weights) -> np.ndarray:
     weight gives their stack.
     """
     w = np.asarray(weights, dtype=float)
-    finite = np.isfinite(w)
-    if not finite.all():
-        raise ValueError(f"weights must be finite, got {float(w[~finite].flat[0])!r}")
+    if (bad := first_failure(np.isfinite(w), w)) is not None:
+        raise ValueError(f"weights must be finite, got {bad!r}")
     return w
 
 

@@ -134,21 +134,23 @@ class TestScanCommand:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_peak_memory_is_bounded(self, tmp_path):
-        """The table is written in blocks, so its rows and text never exist whole.
+        """The table is written, and the grid's math functions mapped, in blocks of BLOCK_ROWS elements.
 
-        A 20k-step CSV scan traces about 3.5 MB at peak, most of it the evaluation's float lists; holding the
-        whole table as rows and text took about 10 MB.
+        So no Python list holds a whole grid's values, rows or text.  Traced peaks: a 20k-step CSV scan about
+        2.8 MB (whole-table rows and text took about 10 MB), a 100k-step one about 11 MB, most of it numpy
+        temporaries of the evaluation (whole-grid float lists took about 17.6 MB).
         """
         target = str(tmp_path / "scan.csv")
         assert main(["scan", "--steps", "20", "--output", target]) == 0  # imports and caches outside the trace
-        tracemalloc.start()
-        try:
-            code = main(["scan", "--steps", "20000", "--output", target])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < 6_000_000
+        for steps, bound in ((20000, 6_000_000), (100000, 14_000_000)):
+            tracemalloc.start()
+            try:
+                code = main(["scan", "--steps", str(steps), "--output", target])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < bound, steps
 
     def test_constant_interaction(self, capsys):
         code, out, _ = run(capsys, "scan", "--steps", "3", "--interaction", "constant:0.6")
@@ -284,6 +286,19 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        """Running out of memory is a runtime failure: exit 1 with one `error:` line, and no output file."""
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+        def linspace(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        target = tmp_path / "t.csv"
+        code, out, err = run(capsys, "scan", "--steps", "1000000000000", "--output", str(target))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not target.exists()
+
     @pytest.mark.parametrize("command", sorted(_STDOUT_COMMANDS))
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
@@ -360,6 +375,17 @@ class TestInternals:
             assert [type(v) for v in got] == [float] * 5 + [bool, int]
             assert got[:5] == pytest.approx(want[:5], rel=1e-15, abs=1e-15)
             assert got[5:] == want[5:]
+
+    @pytest.mark.parametrize("interaction", ["coulomb", "constant:0.6"])
+    def test_rows_do_not_depend_on_numpy_ufuncs(self, monkeypatch, interaction):
+        """The grid takes cos, hypot and log2 from math: numpy ufuncs that round one ulp up change no bit of a row."""
+        grid, provider = np.linspace(0.01, math.pi / 2, 200), parse_interaction(interaction)
+        want = table_rows(evaluate_grid(grid, provider, ExchangeStatistics.FERMION))
+        for name in ("cos", "sin", "hypot", "log", "log2", "exp", "sqrt"):
+            ufunc = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *args, _f=ufunc, **kwargs: np.nextafter(_f(*args, **kwargs), np.inf))
+        assert np.sqrt(4.0) > 2.0  # the wrappers are in place
+        assert table_rows(evaluate_grid(grid, provider, ExchangeStatistics.FERMION)) == want
 
     def test_records_are_plain_python_values(self):
         """Columns leave numpy as float / bool / int, so JSON and CSV see what the scalar path gave."""
