@@ -64,6 +64,17 @@ def check_unit_norm(norm_sq, what: str) -> None:
         raise ValueError(f"{what} must be 1, got {bad!r}")
 
 
+def unit_weights(coeffs, what: str) -> list:
+    """The weights |c|^2 of numbers, or of equal-shape arrays over a grid; ValueError unless they sum to 1.
+
+    Squared parts, not abs, whose numpy and Python forms can differ in the last bit: so grid and one-angle bits agree.
+    """
+    with np.errstate(over="ignore"):  # a huge component squares to inf, which fails the check
+        weights = [c.real * c.real + c.imag * c.imag for c in coeffs]
+    check_unit_norm(sum(weights), what)
+    return weights
+
+
 def validate_angle(theta):
     """Check that a scattering angle lies strictly inside (0, pi).
 
@@ -156,8 +167,7 @@ class NormalizedAmplitudePair:
     f_minus: complex
 
     def __post_init__(self) -> None:
-        p, m = abs(self.f_plus), abs(self.f_minus)
-        check_unit_norm(p * p + m * m, "|f_plus|^2 + |f_minus|^2")
+        unit_weights((self.f_plus, self.f_minus), "|f_plus|^2 + |f_minus|^2")
         anchor = np.where(self.f_plus == 0, self.f_minus, self.f_plus)
         if ((abs(anchor.imag) > NORM_TOL) | (anchor.real < 0.0)).any():
             raise ValueError("global phase not fixed: leading amplitude must be real and >= 0")

@@ -17,11 +17,12 @@ with
     F(theta) = 1 + E(b, c) = 5/4 + (3/2) sign f_plus Re f_minus,
 
 because |E(a,b) - E(a,c)| = 1 identically for that triple, and b and c
-lie in the x-z plane, where the Im z term vanishes.  F < 1 flags a Bell
-violation; for fermions with Coulomb amplitudes the border is crossed
-at theta = pi/4.  bell_F takes one normalized pair or the arrays of an
-angle grid; critical_angle finds the crossing from F on angle grids
-(normalize, then bell_F), with one provider call per angle.
+lie in the x-z plane, where the Im z term vanishes.  A common rotation
+of b and c about z leaves F as it is, because it leaves alpha |ud> +
+beta |du> unchanged.  F < 1 flags a Bell violation; for fermions with
+Coulomb amplitudes the border is crossed at theta = pi/4.  bell_F takes
+one normalized pair or the arrays of an angle grid; critical_angle
+brackets the crossing on an angle grid, then bisects on single angles.
 """
 
 from __future__ import annotations
@@ -177,22 +178,19 @@ def is_violated(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = 
 def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[float]:
     """Smallest angle in (0, pi/2] where the provider's fermion F(theta) crosses 1.
 
-    F comes from normalize and bell_F on angle grids, with one provider
-    call per angle (a Python float).  A 1024-angle grid brackets the first
-    sign change of F - 1 (robust against non-monotone providers), then
-    bisection on one-angle grids narrows the bracket until its half-width
-    drops below tol or no float lies strictly inside it.
-    Returns None when F - 1 keeps a single sign over the whole range.
+    F comes from normalize and bell_F, with one provider call per angle
+    (a Python float): on a 1024-angle grid that brackets the first sign
+    change of F - 1 (robust against non-monotone providers), then on one
+    angle per bisection step, until the bracket's half-width drops below
+    tol or no float lies strictly inside it.  Returns None when F - 1
+    keeps a single sign over the whole range.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    def gap(thetas: list[float]) -> np.ndarray:
-        direct, exchange = np.array([(p.direct, p.exchange) for p in map(provider, thetas)]).T
-        return bell_F(normalize(AmplitudePair(direct, exchange))) - 1.0
-
     thetas = np.linspace(_BRACKET_LO, math.pi / 2.0, _SCAN_POINTS).tolist()
-    values = gap(thetas)
+    direct, exchange = np.array([(p.direct, p.exchange) for p in map(provider, thetas)]).T
+    values = bell_F(normalize(AmplitudePair(direct, exchange))) - 1.0
     # The first angle where F - 1 is 0 or has the other sign at the next angle.
     hits = np.flatnonzero((values == 0.0) | np.append(np.diff(values < 0.0), False))
     if hits.size == 0:
@@ -206,7 +204,7 @@ def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        (f_mid,) = gap([mid])
+        f_mid = bell_F(normalize(provider(mid))) - 1.0
         if f_mid == 0.0:
             return mid
         if (f_lo < 0.0) != (f_mid < 0.0):

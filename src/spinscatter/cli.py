@@ -28,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .amplitudes import BLOCK_ROWS, NORM_TOL, AmplitudeProvider, constant_provider, coulomb_provider, normalize
+from .amplitudes import BLOCK_ROWS, NORM_TOL, AmplitudeProvider, constant_provider, coulomb_provider, first_failure
+from .amplitudes import normalize, unit_weights
 from .bell import bell_F, critical_angle
 from .entanglement import shannon_bits
 from .spin_states import ExchangeStatistics, rank_of_weights
@@ -90,12 +91,11 @@ def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: E
     phase above NORM_TOL raises ValueError (normalize drops a common phase).
     """
     amps = normalize(provider(thetas))
-    if np.iscomplexobj(amps.f_minus) and (phased := np.abs(amps.f_minus.imag) > NORM_TOL).any():
-        raise ValueError(f"tables need real channel amplitudes; relative phase at theta = {float(thetas[phased][0])!r}")
+    if (phased := first_failure(abs(np.imag(amps.f_minus)) <= NORM_TOL, thetas)) is not None:
+        raise ValueError(f"tables need real channel amplitudes; relative phase at theta = {phased!r}")
+    w = unit_weights((amps.f_plus, amps.f_minus), "|f_plus|^2 + |f_minus|^2")
     f_value = bell_F(amps, statistics)
-    f_plus, f_minus = amps.f_plus, amps.f_minus.real  # Im is round-off
-    weights = (f_plus * f_plus, f_minus * f_minus)
-    return thetas, f_plus, f_minus, shannon_bits(weights), f_value, f_value < 1.0, rank_of_weights(weights)
+    return thetas, amps.f_plus, amps.f_minus.real, shannon_bits(w), f_value, f_value < 1.0, rank_of_weights(w)
 
 
 def table_rows(columns: tuple, start: int = 0, stop: Optional[int] = None) -> list[tuple]:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .amplitudes import check_unit_norm, coulomb_f_pm, exact_map
+from .amplitudes import coulomb_f_pm, exact_map, unit_weights
 from .spin_states import TwoSpinState, finite_weights, reduced_density_matrix
 
 
@@ -42,10 +42,7 @@ def eoe_label_fixed(coeffs) -> float:
 
     Zero for a single determinant, 1 bit for an equal-weight pair.
     """
-    moduli = map(abs, np.asarray(coeffs, dtype=complex).ravel().tolist())
-    weights = [m * m for m in moduli]  # a multiply on Python floats: a huge modulus gives inf, which fails the check
-    check_unit_norm(sum(weights), "sum |c|^2")
-    return shannon_bits(weights)
+    return shannon_bits(unit_weights(np.asarray(coeffs, dtype=complex).ravel().tolist(), "sum |c|^2"))
 
 
 def eoe_symmetrized(coeffs) -> float:
@@ -79,5 +76,4 @@ def coulomb_entropy(theta: float) -> float:
     toward the (excluded) beam axis, and rising to exactly one bit at
     theta = pi/2 where the state becomes the singlet.
     """
-    f_plus, f_minus = coulomb_f_pm(theta)
-    return shannon_bits((f_plus * f_plus, f_minus * f_minus))
+    return shannon_bits(unit_weights(coulomb_f_pm(theta), "f_plus^2 + f_minus^2"))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import NormalizedAmplitudePair, check_unit_norm, first_failure
+from .amplitudes import NormalizedAmplitudePair, first_failure, unit_weights
 
 
 class ExchangeStatistics(enum.Enum):
@@ -33,7 +33,7 @@ class ExchangeStatistics(enum.Enum):
     BOSON = 1
 
     def __init__(self, sign: int) -> None:
-        # A plain attribute: bell_F reads it once per angle grid (a scan, or one bisection step of critical_angle).
+        # A plain attribute: bell_F reads it once per call (a scan's grid, or one angle of critical_angle).
         self.sign = sign
 
 
@@ -47,7 +47,7 @@ class TwoSpinState:
     c_downdown: complex
 
     def __post_init__(self) -> None:
-        check_unit_norm(sum(m * m for m in map(abs, self._coeffs())), "|psi|^2")
+        unit_weights(self._coeffs(), "|psi|^2")
 
     def _coeffs(self) -> tuple[complex, complex, complex, complex]:
         return (self.c_upup, self.c_updown, self.c_downup, self.c_downdown)
@@ -70,8 +70,7 @@ class SlaterDecomposition:
     c_minus_s: complex
 
     def __post_init__(self) -> None:
-        s, t = abs(self.c_s), abs(self.c_minus_s)
-        check_unit_norm(s * s + t * t, "|c_s|^2 + |c_minus_s|^2")
+        unit_weights((self.c_s, self.c_minus_s), "|c_s|^2 + |c_minus_s|^2")
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -133,8 +132,7 @@ def rank_of_weights(weights):
 
 def slater_rank(dec: SlaterDecomposition) -> int:
     """Slater rank of a decomposition: rank_of_weights of its |c|^2."""
-    s, t = abs(dec.c_s), abs(dec.c_minus_s)
-    return rank_of_weights((s * s, t * t))
+    return rank_of_weights(unit_weights((dec.c_s, dec.c_minus_s), "|c_s|^2 + |c_minus_s|^2"))
 
 
 def reduced_density_matrix(state: TwoSpinState, slot: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from spinscatter.amplitudes import (
     mandelstam_u,
     check_unit_norm,
     normalize,
+    unit_weights,
     validate_angle,
 )
 from spinscatter.bell import UnitVector3, critical_angle
@@ -363,6 +364,24 @@ class TestUnitNormCheck:
     def test_non_finite_input_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF, 1e200, 1e200j, complex(0.0, NAN)])
+    def test_unit_weights_rejects_non_finite_and_huge(self, bad):
+        """One bad component fails the sum, for one coefficient pair and for one element of a grid."""
+        with pytest.raises(ValueError, match="must be 1"):
+            unit_weights((0.6, bad), "norm")
+        with pytest.raises(ValueError, match="must be 1"):
+            unit_weights((np.array([0.6, 1.0]), np.array([0.8, bad])), "norm")
+
+    def test_unit_weights_grid_matches_one_coefficient_calls(self):
+        """Squared parts, not abs: each weight of a complex grid has the bits of its one-element call, also reversed."""
+        rng = np.random.default_rng(14)
+        phi, alpha, beta = rng.uniform(-math.pi, math.pi, (3, 2000))
+        c, s = np.cos(phi) * np.exp(1j * alpha), np.sin(phi) * np.exp(1j * beta)
+        for a, b in ((c, s), (c[::-1], s[::-1])):
+            grid = unit_weights((a, b), "norm")
+            for i, pair in enumerate(zip(a.tolist(), b.tolist())):
+                assert [w[i] for w in grid] == unit_weights(pair, "norm")
 
     @pytest.mark.parametrize("norm_sq", [NAN, INF, -INF, 1.0 + 2e-12, 1.0 - 2e-12])
     def test_check_rejects(self, norm_sq):

@@ -26,7 +26,8 @@ from spinscatter.cli import (
     render,
     table_rows,
 )
-from spinscatter.spin_states import ExchangeStatistics, outgoing_state
+from spinscatter.entanglement import eoe_label_fixed
+from spinscatter.spin_states import ExchangeStatistics, outgoing_state, slater_decomposition, slater_rank
 
 
 def run(capsys, *argv):
@@ -375,6 +376,19 @@ class TestInternals:
             assert [type(v) for v in got] == [float] * 5 + [bool, int]
             assert got[:5] == pytest.approx(want[:5], rel=1e-15, abs=1e-15)
             assert got[5:] == want[5:]
+
+    def test_round_off_phase_weights_match_the_library(self):
+        """A relative phase within NORM_TOL passes, and the entropy and rank take |f_minus|^2, not (Re f_minus)^2.
+
+        So a row holds eoe_label_fixed and slater_rank of its pair: 1.57e-22 bits here, where (Re f_minus)^2 gave half.
+        """
+        exchange = 1e-12 + 1e-12j
+        provider = lambda thetas: AmplitudePair(np.ones(thetas.shape), np.full(thetas.shape, exchange))
+        amps = normalize(AmplitudePair(1.0, exchange))
+        for row in table_rows(evaluate_grid(np.array([0.5, 1.0]), provider, ExchangeStatistics.FERMION)):
+            assert row[1:3] == (amps.f_plus, amps.f_minus.real)
+            assert row[3] == eoe_label_fixed([amps.f_plus, amps.f_minus])
+            assert row[6] == slater_rank(slater_decomposition(amps))
 
     @pytest.mark.parametrize("interaction", ["coulomb", "constant:0.6"])
     def test_rows_do_not_depend_on_numpy_ufuncs(self, monkeypatch, interaction):

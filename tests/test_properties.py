@@ -32,8 +32,13 @@ from spinscatter.cli import (  # noqa: E402
     parse_interaction,
     table_rows,
 )
-from spinscatter.entanglement import shannon_bits  # noqa: E402
-from spinscatter.spin_states import ExchangeStatistics, outgoing_state, rank_of_weights  # noqa: E402
+from spinscatter.entanglement import eoe_label_fixed  # noqa: E402
+from spinscatter.spin_states import (  # noqa: E402
+    ExchangeStatistics,
+    outgoing_state,
+    slater_decomposition,
+    slater_rank,
+)
 
 HALF_PI = math.pi / 2.0
 STATISTICS = {"fermion": ExchangeStatistics.FERMION, "boson": ExchangeStatistics.BOSON}
@@ -80,6 +85,13 @@ def angle_grids(draw):
     return np.array(sorted(thetas))
 
 
+def round_off_phase_provider(theta):
+    """Direct 1, exchange 1e-12 + 1e-12j at every angle: a relative phase within NORM_TOL, which tables accept."""
+    if isinstance(theta, np.ndarray):
+        return AmplitudePair(np.ones(theta.shape), np.full(theta.shape, 1e-12 + 1e-12j))
+    return AmplitudePair(1.0, 1e-12 + 1e-12j)
+
+
 def phased_pair(phi, psi):
     """Normalized (cos phi, e^{i psi} sin phi); Python floats when psi = 0."""
     exchange = math.sin(phi) * cmath.rect(1.0, psi) if psi else math.sin(phi)
@@ -96,12 +108,11 @@ def scan_rows(lo, hi, steps, interaction, name):
 
 
 def scalar_row(theta, provider, statistics):
-    """One table row from one-angle calls: provider, normalize, bell_F, shannon_bits, rank_of_weights."""
+    """One table row from the library's one-angle calls: normalize, eoe_label_fixed, bell_F and slater_rank."""
     amps = normalize(provider(theta))
     f_value = bell_F(amps, statistics)
-    f_minus = amps.f_minus.real
-    weights = (amps.f_plus * amps.f_plus, f_minus * f_minus)
-    return (theta, amps.f_plus, f_minus, shannon_bits(weights), f_value, f_value < 1.0, rank_of_weights(weights))
+    entropy, rank = eoe_label_fixed([amps.f_plus, amps.f_minus]), slater_rank(slater_decomposition(amps))
+    return (theta, amps.f_plus, amps.f_minus.real, entropy, f_value, f_value < 1.0, rank)
 
 
 @settings(max_examples=80, deadline=None)
@@ -112,7 +123,7 @@ def scalar_row(theta, provider, statistics):
     name=statistics_names,
 )
 def test_grid_matches_scalar_reference(grid, steps, f_plus, name):
-    """Each scan row equals normalize + bell_F + shannon_bits + rank_of_weights at its angle, exactly."""
+    """Each scan row equals normalize + eoe_label_fixed + bell_F + slater_rank at its angle, exactly."""
     lo, hi = grid
     interaction = f"constant:{f_plus!r}"
     records = scan_rows(lo, hi, steps, interaction, name)
@@ -122,10 +133,11 @@ def test_grid_matches_scalar_reference(grid, steps, f_plus, name):
 
 
 @settings(max_examples=80, deadline=None)
-@given(thetas=angle_grids(), interaction=interactions, name=statistics_names)
+@given(thetas=angle_grids(), interaction=st.one_of(interactions, st.just("round-off-phase")), name=statistics_names)
 def test_random_grid_rows_match_one_angle_rows(thetas, interaction, name):
     """Every row equals its one-angle row wherever the angle sits: on the grid, shifted by one and reversed."""
-    provider, statistics = parse_interaction(interaction), STATISTICS[name]
+    provider = round_off_phase_provider if interaction == "round-off-phase" else parse_interaction(interaction)
+    statistics = STATISTICS[name]
     want = [scalar_row(theta, provider, statistics) for theta in thetas.tolist()]
     assert table_rows(evaluate_grid(thetas, provider, statistics)) == want
     assert table_rows(evaluate_grid(thetas[1:], provider, statistics)) == want[1:]
@@ -180,4 +192,16 @@ def test_F_is_one_plus_oracle_correlator(phi, psi, name):
     statistics = STATISTICS[name]
     geo = standard_geometry()
     want = 1.0 + correlator_oracle(outgoing_state(amps, statistics), geo.b_hat, geo.c_hat)
+    assert bell_F(amps, statistics) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=pair_angles, psi=relative_phases, name=statistics_names, turn=st.floats(-math.pi, math.pi))
+def test_F_is_unchanged_by_a_common_z_rotation_of_b_and_c(phi, psi, name, turn):
+    """Turning b and c together about z leaves alpha |ud> + beta |du> and so F as they are, for any relative phase."""
+    amps = phased_pair(phi, psi)
+    statistics = STATISTICS[name]
+    geo, cos, sin = standard_geometry(), math.cos(turn), math.sin(turn)
+    b, c = (UnitVector3(cos * v.x - sin * v.y, sin * v.x + cos * v.y, v.z) for v in (geo.b_hat, geo.c_hat))
+    want = 1.0 + correlator_oracle(outgoing_state(amps, statistics), b, c)
     assert bell_F(amps, statistics) == pytest.approx(want, abs=1e-12)
