@@ -1,0 +1,17 @@
+#!/usr/bin/env bash
+# Checks the installed `spinscatter` script: its output, the 100k-step scan digest, the critical line and the exit
+# codes (0 / 2 / 1).  Run from any directory after `pip install -e .`: bash .github/check-entry-point.sh
+set -euo pipefail
+
+spinscatter critical
+spinscatter point 1.0 --format json
+spinscatter scan --steps 10000 --format json | python -c "import json, sys; json.load(sys.stdin)"
+test "$(spinscatter scan --steps 100000 | sha256sum | cut -d' ' -f1)" = a0710443964afa638760074c620da76f1a400fd02b13e5d85a86d81e139fc9c0
+test "$(spinscatter critical --interaction constant:0.6)" = "no crossing"
+code=0; spinscatter point 2.0 || code=$?; test "$code" -eq 2
+code=0; spinscatter point 1.0 --output /nonexistent/dir/t.csv || code=$?; test "$code" -eq 1
+code=0; spinscatter point 1.0 > /dev/full || code=$?; test "$code" -eq 1
+code=0; spinscatter scan --steps 1 || code=$?; test "$code" -eq 2
+code=0; spinscatter critical --tol -1 || code=$?; test "$code" -eq 2
+code=0; (ulimit -v 4000000; spinscatter scan --steps 1000000000000) || code=$?; test "$code" -eq 1
+echo "entry point checks passed"

@@ -19,8 +19,6 @@ from .amplitudes import (
     coulomb_amplitudes,
     coulomb_f_pm,
     coulomb_provider,
-    mandelstam_t,
-    mandelstam_u,
     normalize,
     validate_angle,
 )
@@ -31,11 +29,9 @@ from .bell import (
     correlator_closed_form,
     correlator_oracle,
     critical_angle,
-    is_violated,
     standard_geometry,
 )
 from .entanglement import (
-    coulomb_entropy,
     entropy_of_state,
     eoe_label_fixed,
     eoe_symmetrized,
@@ -70,7 +66,6 @@ __all__ = [
     "correlator_closed_form",
     "correlator_oracle",
     "coulomb_amplitudes",
-    "coulomb_entropy",
     "coulomb_f_pm",
     "coulomb_provider",
     "critical_angle",
@@ -78,9 +73,6 @@ __all__ = [
     "entropy_of_state",
     "eoe_label_fixed",
     "eoe_symmetrized",
-    "is_violated",
-    "mandelstam_t",
-    "mandelstam_u",
     "normalize",
     "outgoing_state",
     "reduced_density_matrix",

@@ -167,10 +167,15 @@ class NormalizedAmplitudePair:
     f_minus: complex
 
     def __post_init__(self) -> None:
-        unit_weights((self.f_plus, self.f_minus), "|f_plus|^2 + |f_minus|^2")
+        self.weights  # computed and checked here, read by the entropy and rank columns
         anchor = np.where(self.f_plus == 0, self.f_minus, self.f_plus)
         if ((abs(anchor.imag) > NORM_TOL) | (anchor.real < 0.0)).any():
             raise ValueError("global phase not fixed: leading amplitude must be real and >= 0")
+
+    @cached_property
+    def weights(self) -> list:
+        """[|f_plus|^2, |f_minus|^2], numbers or arrays like the components; unit_weights checks their sum."""
+        return unit_weights((self.f_plus, self.f_minus), "|f_plus|^2 + |f_minus|^2")
 
 
 # An interaction model: maps a scattering angle onto the raw channel pair.
@@ -180,33 +185,6 @@ class NormalizedAmplitudePair:
 # The built-in providers also take an angle array; a user provider need
 # only take one angle, which is all critical_angle passes.
 AmplitudeProvider = Callable[[float], AmplitudePair]
-
-
-def _cos_factors(theta):
-    """(1 - cos theta, 1 + cos theta), from one angle check and one cosine."""
-    theta = validate_angle(theta)
-    cos_theta = exact_map(math.cos, theta) if isinstance(theta, ndarray) else math.cos(theta)
-    return 1.0 - cos_theta, 1.0 + cos_theta
-
-
-def mandelstam_t(theta, kin: Kinematics):
-    """Momentum transfer invariant of the direct channel.
-
-    t(theta) = 2 (m^2 - E^2) (1 - cos theta); negative on (0, pi), except
-    that it is -0.0 where cos theta rounds to 1 (theta below about 1e-8, e.g.
-    1e-9).  Element-wise for an angle array.
-    """
-    return kin.scale * _cos_factors(theta)[0]
-
-
-def mandelstam_u(theta, kin: Kinematics):
-    """Momentum transfer invariant of the exchange channel.
-
-    u(theta) = 2 (m^2 - E^2) (1 + cos theta) = t(pi - theta); negative on
-    (0, pi), except that it is -0.0 where cos theta rounds to -1 (within
-    about 1e-8 of pi).  Element-wise for an angle array.
-    """
-    return kin.scale * _cos_factors(theta)[1]
 
 
 def coulomb_amplitudes(theta, kin: Kinematics) -> AmplitudePair:
@@ -219,7 +197,9 @@ def coulomb_amplitudes(theta, kin: Kinematics) -> AmplitudePair:
     (a tiny energy scale), it overflows.  Either way: ValueError naming the
     first such angle.
     """
-    minus, plus = _cos_factors(theta)
+    theta = validate_angle(theta)
+    cos_theta = exact_map(math.cos, theta) if isinstance(theta, ndarray) else math.cos(theta)
+    minus, plus = 1.0 - cos_theta, 1.0 + cos_theta
     t, u = kin.scale * minus, kin.scale * plus
     n = kin.charge_factor
     if isinstance(t, ndarray):
@@ -249,22 +229,30 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
     result wherever it sits in the grid.  NormalizedAmplitudePair checks the
     result, so a NaN or +-inf anywhere raises ValueError.
     """
-    # Contiguous, because numpy's complex abs and divide round differently on strided arrays (a reversed view).
+    # Contiguous, because numpy's complex divide rounds differently on strided arrays (a reversed view).
     direct, exchange = np.asarray(pair.direct, order="C"), np.asarray(pair.exchange, order="C")
-    norm = exact_map(math.hypot, np.abs(direct), np.abs(exchange))
+    # Complex moduli from math.hypot of the parts, not numpy's complex abs, which may round otherwise; np.abs of a
+    # real float is exact.
+    complex_channels = direct.dtype.kind == "c" or exchange.dtype.kind == "c"
+    if complex_channels:
+        norm = exact_map(math.hypot, direct.real, direct.imag, exchange.real, exchange.imag)
+        modulus_of = lambda z: exact_map(math.hypot, z.real, z.imag)
+    else:
+        norm = exact_map(math.hypot, np.abs(direct), np.abs(exchange))
+        modulus_of = np.abs
     with np.errstate(invalid="ignore"):  # NaN from inf / inf fails the norm check; from 0 / 0, np.where drops it
         f_plus = direct / norm
         f_minus = exchange / norm
-        modulus = np.abs(f_plus)
+        modulus = modulus_of(f_plus)
         phase = np.conj(f_plus) / modulus  # +-1 exactly for real channels
-        if np.iscomplexobj(f_minus) or np.iscomplexobj(phase):
+        if complex_channels:
             # numpy's SIMD complex multiply rounds differently from its scalar loop; real operations round alike.
             a, b, c, d = f_minus.real, f_minus.imag, phase.real, phase.imag
             rotated = np.empty(direct.shape, complex)
             rotated.real, rotated.imag = a * c - b * d, a * d + b * c
         else:
             rotated = f_minus * phase
-    f_minus = np.where(modulus == 0.0, np.abs(f_minus), rotated)
+    f_minus = np.where(modulus == 0.0, modulus_of(f_minus), rotated)
     if direct.ndim == 0:
         return NormalizedAmplitudePair(modulus.item(), f_minus.item())
     return NormalizedAmplitudePair(modulus, f_minus)

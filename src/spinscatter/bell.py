@@ -170,11 +170,6 @@ def bell_F(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = Excha
     return 1.25 + 1.5 * statistics.sign * amps.f_plus.real * amps.f_minus.real
 
 
-def is_violated(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = ExchangeStatistics.FERMION):
-    """True when the Bell combination falls strictly below the classical border (element-wise for a grid)."""
-    return bell_F(amps, statistics) < 1.0
-
-
 def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[float]:
     """Smallest angle in (0, pi/2] where the provider's fermion F(theta) crosses 1.
 

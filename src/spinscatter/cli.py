@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .amplitudes import BLOCK_ROWS, NORM_TOL, AmplitudeProvider, constant_provider, coulomb_provider, first_failure
-from .amplitudes import normalize, unit_weights
+from .amplitudes import normalize
 from .bell import bell_F, critical_angle
 from .entanglement import shannon_bits
 from .spin_states import ExchangeStatistics, rank_of_weights
@@ -93,7 +93,7 @@ def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: E
     amps = normalize(provider(thetas))
     if (phased := first_failure(abs(np.imag(amps.f_minus)) <= NORM_TOL, thetas)) is not None:
         raise ValueError(f"tables need real channel amplitudes; relative phase at theta = {phased!r}")
-    w = unit_weights((amps.f_plus, amps.f_minus), "|f_plus|^2 + |f_minus|^2")
+    w = amps.weights
     f_value = bell_F(amps, statistics)
     return thetas, amps.f_plus, amps.f_minus.real, shannon_bits(w), f_value, f_value < 1.0, rank_of_weights(w)
 

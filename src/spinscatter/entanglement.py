@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .amplitudes import coulomb_f_pm, exact_map, unit_weights
+from .amplitudes import exact_map, unit_weights
 from .spin_states import TwoSpinState, finite_weights, reduced_density_matrix
 
 
@@ -67,13 +67,3 @@ def entropy_of_state(state: TwoSpinState) -> float:
     evals = np.linalg.eigvalsh(reduced_density_matrix(state, 1))
     return shannon_bits(evals)
 
-
-def coulomb_entropy(theta: float) -> float:
-    """Closed-form entanglement entropy of the Coulomb outgoing state.
-
-    S(theta) = -f_plus^2 log2 f_plus^2 - f_minus^2 log2 f_minus^2 with the
-    closed-form normalized amplitudes.  Symmetric about pi/2, vanishing
-    toward the (excluded) beam axis, and rising to exactly one bit at
-    theta = pi/2 where the state becomes the singlet.
-    """
-    return shannon_bits(unit_weights(coulomb_f_pm(theta), "f_plus^2 + f_minus^2"))

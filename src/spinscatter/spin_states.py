@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +71,12 @@ class SlaterDecomposition:
     c_minus_s: complex
 
     def __post_init__(self) -> None:
-        unit_weights((self.c_s, self.c_minus_s), "|c_s|^2 + |c_minus_s|^2")
+        self.weights  # computed and checked here, read by slater_rank
+
+    @cached_property
+    def weights(self) -> list:
+        """[|c_s|^2, |c_minus_s|^2]; unit_weights checks their sum."""
+        return unit_weights((self.c_s, self.c_minus_s), "|c_s|^2 + |c_minus_s|^2")
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -132,7 +138,7 @@ def rank_of_weights(weights):
 
 def slater_rank(dec: SlaterDecomposition) -> int:
     """Slater rank of a decomposition: rank_of_weights of its |c|^2."""
-    return rank_of_weights(unit_weights((dec.c_s, dec.c_minus_s), "|c_s|^2 + |c_minus_s|^2"))
+    return rank_of_weights(dec.weights)
 
 
 def reduced_density_matrix(state: TwoSpinState, slot: int) -> np.ndarray:

@@ -3,7 +3,12 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the pass/fail lines.
 Every expected number below was either frozen from an independent evaluation
 route before the implementation existed, or is asserted against a second
-in-package route that shares no code with the first.
+in-package route.  Those second routes are not all independent: for
+criterion 3 the closed-form entropy eoe_label_fixed(coulomb_f_pm(theta)) and
+the eigenvalue route entropy_of_state both end in shannon_bits, so they
+cannot catch an error in it.  The independent check still to come is a
+reference that computes in the decimal module and imports nothing from
+spinscatter.
 """
 
 import math
@@ -29,7 +34,6 @@ from spinscatter.bell import (
 )
 from spinscatter.cli import main
 from spinscatter.entanglement import (
-    coulomb_entropy,
     entropy_of_state,
     eoe_label_fixed,
     eoe_symmetrized,
@@ -69,7 +73,7 @@ def test_criterion_01_critical_angle():
 
 def test_criterion_02_maximal_entanglement():
     """At pi/2 the entropy is one e-bit and the decomposition is the singlet."""
-    entropy_err = abs(coulomb_entropy(math.pi / 2.0) - 1.0)
+    entropy_err = abs(eoe_label_fixed(coulomb_f_pm(math.pi / 2.0)) - 1.0)
     dec = slater_decomposition(coulomb_pair(math.pi / 2.0))
     coeff_err = max(abs(dec.c_s - INV_SQRT2), abs(dec.c_minus_s + INV_SQRT2))
     ok = entropy_err <= 1e-12 and coeff_err <= 1e-12
@@ -79,7 +83,7 @@ def test_criterion_02_maximal_entanglement():
 
 def test_criterion_03_entropy_curve():
     """Schmidt-route entropy equals the closed form and rises monotonically."""
-    closed = [coulomb_entropy(t) for t in GRID_200]
+    closed = [eoe_label_fixed(coulomb_f_pm(t)) for t in GRID_200]
     schmidt = [
         entropy_of_state(outgoing_state(coulomb_pair(t), ExchangeStatistics.FERMION))
         for t in GRID_200

@@ -17,15 +17,14 @@ from spinscatter.amplitudes import (
     coulomb_amplitudes,
     coulomb_f_pm,
     coulomb_provider,
-    mandelstam_t,
-    mandelstam_u,
     check_unit_norm,
     normalize,
     unit_weights,
     validate_angle,
 )
+from spinscatter import amplitudes
 from spinscatter.bell import UnitVector3, critical_angle
-from spinscatter.cli import evaluate_grid
+from spinscatter.cli import evaluate_grid, table_rows
 from spinscatter.entanglement import eoe_label_fixed
 from spinscatter.spin_states import ExchangeStatistics, SlaterDecomposition, TwoSpinState
 
@@ -83,27 +82,35 @@ class TestKinematics:
             Kinematics(m=m, E=E)
 
 
+def invariants(theta, kin):
+    """(t, u) = (N/direct, N/exchange): the momentum-transfer invariants that coulomb_amplitudes divides by."""
+    pair = coulomb_amplitudes(theta, kin)
+    return kin.charge_factor / pair.direct, kin.charge_factor / pair.exchange
+
+
 class TestMandelstamInvariants:
     def test_symmetric_point_massless(self):
         """t(pi/2) = 2 (0 - 1)(1 - 0) = -2 for m=0, E=1."""
-        assert mandelstam_t(math.pi / 2, MASSLESS) == pytest.approx(-2.0, abs=1e-15)
-        assert mandelstam_u(math.pi / 2, MASSLESS) == pytest.approx(-2.0, abs=1e-15)
+        t, u = invariants(math.pi / 2, MASSLESS)
+        assert t == pytest.approx(-2.0, abs=1e-15)
+        assert u == pytest.approx(-2.0, abs=1e-15)
 
     def test_symmetric_point_massive(self):
         """t(pi/2) = 2 (1 - 4) = -6 for m=1, E=2."""
-        kin = Kinematics(m=1.0, E=2.0)
-        assert mandelstam_t(math.pi / 2, kin) == pytest.approx(-6.0, abs=1e-12)
-        assert mandelstam_u(math.pi / 2, kin) == pytest.approx(-6.0, abs=1e-12)
+        t, u = invariants(math.pi / 2, Kinematics(m=1.0, E=2.0))
+        assert t == pytest.approx(-6.0, abs=1e-12)
+        assert u == pytest.approx(-6.0, abs=1e-12)
 
     def test_exchange_invariant_at_pi_third(self):
         """u(pi/3) = 2 (0 - 1)(1 + 1/2) = -3 for m=0, E=1."""
-        assert mandelstam_u(math.pi / 3, MASSLESS) == pytest.approx(-3.0, abs=1e-12)
+        assert invariants(math.pi / 3, MASSLESS)[1] == pytest.approx(-3.0, abs=1e-12)
 
     def test_both_negative_on_grid(self):
         kin = Kinematics(m=0.5, E=3.0)
         for theta in np.linspace(1e-4, math.pi - 1e-4, 200):
-            assert mandelstam_t(theta, kin) < 0.0
-            assert mandelstam_u(theta, kin) < 0.0
+            t, u = invariants(theta, kin)
+            assert t < 0.0
+            assert u < 0.0
 
     def test_supplement_relation(self):
         """u(theta) equals t(pi - theta) up to relative rounding error."""
@@ -112,21 +119,20 @@ class TestMandelstamInvariants:
             m = rng.uniform(0.0, 5.0)
             kin = Kinematics(m=m, E=m + rng.uniform(0.1, 10.0))
             theta = rng.uniform(1e-3, math.pi - 1e-3)
-            u = mandelstam_u(theta, kin)
-            assert mandelstam_t(math.pi - theta, kin) == pytest.approx(u, rel=1e-12)
+            u = invariants(theta, kin)[1]
+            assert invariants(math.pi - theta, kin)[0] == pytest.approx(u, rel=1e-12)
 
     def test_sum_rule(self):
         """t + u = 4 (m^2 - E^2) at every angle."""
         kin = Kinematics(m=1.0, E=2.0)
         for theta in np.linspace(0.1, math.pi - 0.1, 50):
-            total = mandelstam_t(theta, kin) + mandelstam_u(theta, kin)
-            assert total == pytest.approx(-12.0, rel=1e-12)
+            assert sum(invariants(theta, kin)) == pytest.approx(-12.0, rel=1e-12)
 
     def test_angle_domain_enforced(self):
         with pytest.raises(ValueError):
-            mandelstam_t(0.0, MASSLESS)
+            invariants(0.0, MASSLESS)
         with pytest.raises(ValueError):
-            mandelstam_u(math.pi, MASSLESS)
+            invariants(math.pi, MASSLESS)
 
 
 class TestCoulombAmplitudes:
@@ -181,7 +187,7 @@ class TestCoulombAmplitudes:
     def test_overflow_where_t_underflows(self):
         """t = scale (1 - cos theta) rounds to 0 although 1 - cos theta does not: an overflow, not a divergence."""
         kin = Kinematics(m=0.0, E=1e-160)
-        assert mandelstam_t(1e-6, kin) == 0.0
+        assert kin.scale * (1.0 - math.cos(1e-6)) == 0.0
         for theta in (1e-6, np.array([0.5, 1e-6])):
             with pytest.raises(ValueError, match="overflows at theta = "):
                 coulomb_amplitudes(theta, kin)
@@ -236,6 +242,33 @@ class TestNormalize:
             out = normalize(AmplitudePair(base.direct * phase, base.exchange * phase))
             assert cmath.isclose(complex(out.f_plus), complex(ref.f_plus), abs_tol=1e-12)
             assert cmath.isclose(complex(out.f_minus), complex(ref.f_minus), abs_tol=1e-12)
+
+    def test_complex_moduli_do_not_depend_on_numpy_abs(self, monkeypatch):
+        """Complex channels take their moduli from math.hypot of the parts, not from np.abs.
+
+        An np.abs that rounds complex input one ulp up moves no table row and
+        no critical_angle root of a common-phase provider, and no bit of a
+        pair whose direct channel vanishes.
+        """
+        phase = complex(math.cos(0.3), math.sin(0.3))
+        provider = lambda t: AmplitudePair(phase * np.cos(t / 2), phase * np.sin(t / 2))
+        grid = np.linspace(0.01, math.pi / 2, 200)
+
+        def results():
+            vanishing = normalize(AmplitudePair(np.array([0.0, 0.6]), np.array([0.3 + 0.4j, 0.8j])))
+            rows = table_rows(evaluate_grid(grid, provider, ExchangeStatistics.FERMION))
+            return rows, critical_angle(provider), vanishing.f_plus.tolist(), vanishing.f_minus.tolist()
+
+        want = results()
+        exact_abs = np.abs
+
+        def rounds_complex_up(x, *args, **kwargs):
+            value = exact_abs(x, *args, **kwargs)
+            return np.nextafter(value, np.inf) if np.iscomplexobj(x) else value
+
+        monkeypatch.setattr(np, "abs", rounds_complex_up)
+        assert np.abs(0.6 + 0.8j) > 1.0 and np.abs(1.0) == 1.0  # the wrapper is in place, for complex input only
+        assert results() == want
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -332,6 +365,23 @@ class TestNormalizedPairValidation:
     def test_relative_phase_is_allowed(self):
         assert NormalizedAmplitudePair(0.6, 0.8j).f_minus == 0.8j
         assert NormalizedAmplitudePair(0.6, -0.8).f_minus == -0.8
+
+    def test_weights_are_computed_once(self, monkeypatch):
+        """The check in __post_init__ computes the weights; .weights and a table's columns reuse them.
+
+        The weights stay out of the fields: repr and equality are those of (f_plus, f_minus).
+        """
+        calls = []
+        counted = lambda coeffs, what: calls.append(what) or unit_weights(coeffs, what)
+        monkeypatch.setattr(amplitudes, "unit_weights", counted)
+        pair = NormalizedAmplitudePair(0.6, 0.8)
+        assert pair.weights is pair.weights and pair.weights == unit_weights((0.6, 0.8), "norm")
+        assert repr(pair) == "NormalizedAmplitudePair(f_plus=0.6, f_minus=0.8)"
+        assert pair == NormalizedAmplitudePair(0.6, 0.8) != NormalizedAmplitudePair(0.8, 0.6)
+        assert len(calls) == 3
+        calls.clear()
+        evaluate_grid(np.linspace(0.1, 1.5, 50), coulomb_provider(), ExchangeStatistics.FERMION)
+        assert calls == ["|f_plus|^2 + |f_minus|^2"]
 
 
 class TestUnitNormCheck:

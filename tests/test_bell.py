@@ -19,9 +19,9 @@ from spinscatter.bell import (
     correlator_closed_form,
     correlator_oracle,
     critical_angle,
-    is_violated,
     standard_geometry,
 )
+from spinscatter.cli import evaluate_grid
 from spinscatter.spin_states import ExchangeStatistics, TwoSpinState, outgoing_state
 
 # Frozen before implementation by two independent evaluation routes.
@@ -223,17 +223,20 @@ class TestBellF:
             values = [bell_F(p, statistics) for p in pairs]
             assert all(type(value) is float for value in values)
             assert bell_F(grid, statistics).tolist() == values
-            assert is_violated(grid, statistics).tolist() == [is_violated(p, statistics) for p in pairs]
 
 
 class TestViolation:
+    """The table's violated column is F < 1, strictly."""
+
+    @staticmethod
+    def violated(*thetas):
+        return evaluate_grid(np.array(thetas), coulomb_provider(), ExchangeStatistics.FERMION)[5].tolist()
+
     def test_violated_beyond_critical_angle(self):
-        assert is_violated(coulomb_pair(math.pi / 3))
-        assert is_violated(coulomb_pair(math.pi / 2))
+        assert self.violated(math.pi / 3, math.pi / 2) == [True, True]
 
     def test_not_violated_below_critical_angle(self):
-        assert not is_violated(coulomb_pair(math.pi / 8))
-        assert not is_violated(coulomb_pair(0.1))
+        assert self.violated(0.1, math.pi / 8) == [False, False]
 
 
 class TestCriticalAngle:

@@ -7,7 +7,6 @@ import pytest
 
 from spinscatter.amplitudes import NormalizedAmplitudePair, coulomb_f_pm
 from spinscatter.entanglement import (
-    coulomb_entropy,
     entropy_of_state,
     eoe_label_fixed,
     eoe_symmetrized,
@@ -102,29 +101,29 @@ class TestEntropyOfState:
 
 class TestCoulombEntropy:
     def test_symmetric_point_is_one_bit(self):
-        assert coulomb_entropy(math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+        assert eoe_label_fixed(coulomb_f_pm(math.pi / 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_pi_third(self):
-        assert coulomb_entropy(math.pi / 3) == pytest.approx(H_09, abs=1e-12)
+        assert eoe_label_fixed(coulomb_f_pm(math.pi / 3)) == pytest.approx(H_09, abs=1e-12)
 
     def test_vanishes_toward_forward_direction(self):
-        assert coulomb_entropy(1e-6) < 1e-9
+        assert eoe_label_fixed(coulomb_f_pm(1e-6)) < 1e-9
 
     def test_symmetric_about_pi_half(self):
         for theta in np.linspace(0.05, math.pi / 2, 100):
-            assert coulomb_entropy(math.pi - theta) == pytest.approx(
-                coulomb_entropy(theta), abs=1e-12
+            assert eoe_label_fixed(coulomb_f_pm(math.pi - theta)) == pytest.approx(
+                eoe_label_fixed(coulomb_f_pm(theta)), abs=1e-12
             )
 
     def test_strictly_increasing_to_symmetric_point(self):
-        values = [coulomb_entropy(t) for t in np.linspace(1e-3, math.pi / 2, 1000)]
+        values = [eoe_label_fixed(coulomb_f_pm(t)) for t in np.linspace(1e-3, math.pi / 2, 1000)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_matches_schmidt_route(self):
         """Closed form equals the reduced-density-matrix eigenvalue route."""
         for theta in np.linspace(1e-3, math.pi - 1e-3, 1000):
             state = outgoing_state(coulomb_pair(theta), ExchangeStatistics.FERMION)
-            assert entropy_of_state(state) == pytest.approx(coulomb_entropy(theta), abs=1e-12)
+            assert entropy_of_state(state) == pytest.approx(eoe_label_fixed(coulomb_f_pm(theta)), abs=1e-12)
 
     def test_statistics_do_not_change_entropy(self):
         for theta in np.linspace(0.05, math.pi / 2, 100):
@@ -136,7 +135,7 @@ class TestCoulombEntropy:
     @pytest.mark.parametrize("theta", [0.0, math.pi, -1.0])
     def test_angle_domain(self, theta):
         with pytest.raises(ValueError):
-            coulomb_entropy(theta)
+            eoe_label_fixed(coulomb_f_pm(theta))
 
 
 class TestShannonBits:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spinscatter.amplitudes import NormalizedAmplitudePair, coulomb_f_pm
+from spinscatter import spin_states
+from spinscatter.amplitudes import NormalizedAmplitudePair, coulomb_f_pm, unit_weights
 from spinscatter.spin_states import (
     RANK_EPSILON,
     ExchangeStatistics,
@@ -132,6 +133,16 @@ class TestSlaterRank:
     def test_near_forward_scattering_is_still_rank_two(self):
         """The exchange weight is tiny at small angles but above the default cut."""
         assert slater_rank(slater_decomposition(coulomb_pair(0.01))) == 2
+
+    def test_reads_the_weights_the_check_computed(self, monkeypatch):
+        """SlaterDecomposition computes its weights once, in __post_init__; slater_rank reads them."""
+        calls = []
+        counted = lambda coeffs, what: calls.append(what) or unit_weights(coeffs, what)
+        monkeypatch.setattr(spin_states, "unit_weights", counted)
+        dec = SlaterDecomposition(0.6, -0.8)
+        assert slater_rank(dec) == 2 and dec.weights is dec.weights
+        assert calls == ["|c_s|^2 + |c_minus_s|^2"]
+        assert repr(dec) == "SlaterDecomposition(c_s=0.6, c_minus_s=-0.8)"
 
 
 class TestReducedDensityMatrix:
