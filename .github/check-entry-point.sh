@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Checks the installed `spinscatter` script: its output, the 100k-step scan digest, the critical line and the exit
-# codes (0 / 2 / 1).  Run from any directory after `pip install -e .`: bash .github/check-entry-point.sh
+# Checks the installed `spinscatter` script: its output, the `point` JSON and 100k-step scan digests, the critical line
+# and the exit codes (0 / 2 / 1).  Run from any directory after `pip install -e .`: bash .github/check-entry-point.sh
 set -euo pipefail
 
 spinscatter critical
-spinscatter point 1.0 --format json
+test "$(spinscatter point 1.0 --format json | sha256sum | cut -d' ' -f1)" = 1cb1a9f572065ae4f730606e33682675bc6d2718259f4d6f8aaa8a9741eb75c2
 spinscatter scan --steps 10000 --format json | python -c "import json, sys; json.load(sys.stdin)"
 test "$(spinscatter scan --steps 100000 | sha256sum | cut -d' ' -f1)" = a0710443964afa638760074c620da76f1a400fd02b13e5d85a86d81e139fc9c0
 test "$(spinscatter critical --interaction constant:0.6)" = "no crossing"

@@ -105,9 +105,9 @@ class Kinematics:
     E : per-particle energy (finite); must exceed the mass so that the
         momentum transfer invariants are negative.  The scale 2 (m^2 - E^2)
         must neither underflow to 0 nor overflow.
-    charge_factor : overall coupling prefactor of the Coulomb amplitude.
-        It cancels from every normalized quantity, so its value only
-        matters if the raw amplitudes themselves are of interest.
+    charge_factor : overall coupling prefactor of the Coulomb amplitude
+        (positive, finite).  It cancels from every normalized quantity, so
+        its value only matters if the raw amplitudes are of interest.
     """
 
     m: float
@@ -123,8 +123,8 @@ class Kinematics:
             raise ValueError(f"energy must exceed the mass, got E={self.E!r}, m={self.m!r}")
         if not -math.inf < self.scale < 0.0:
             raise ValueError(f"energy scale 2 (m^2 - E^2) is {self.scale!r} for m={self.m!r}, E={self.E!r}")
-        if not self.charge_factor > 0.0:
-            raise ValueError(f"charge_factor must be positive, got {self.charge_factor!r}")
+        if not 0.0 < self.charge_factor < math.inf:
+            raise ValueError(f"charge_factor must be positive and finite, got {self.charge_factor!r}")
 
     @cached_property  # read on every provider call
     def scale(self) -> float:
@@ -221,41 +221,33 @@ def coulomb_amplitudes(theta, kin: Kinematics) -> AmplitudePair:
 def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
     """Scale a channel pair to unit norm and fix the global phase.
 
-    Each pair is divided by math.hypot of its channel moduli and rotated so
-    that f_plus comes out real and nonnegative (f_minus instead where the
-    direct channel vanishes); the relative phase is preserved.  A pair
-    of numbers gives a pair of Python numbers; a pair of channel arrays over
-    an angle grid gives a pair of arrays, each element equal to its one-angle
-    result wherever it sits in the grid.  NormalizedAmplitudePair checks the
+    Each pair is turned so that f_plus comes out real and nonnegative
+    (f_minus instead where f_plus vanishes), then divided by math.hypot of
+    its channel moduli; the relative phase is preserved.  Only real
+    operations on the parts, no numpy complex arithmetic.  A pair of numbers
+    gives a pair of Python numbers; a pair of channel arrays over an angle
+    grid gives a pair of arrays, each element equal to its one-angle result
+    wherever it sits in the grid.  NormalizedAmplitudePair checks the
     result, so a NaN or +-inf anywhere raises ValueError.
     """
-    # Contiguous, because numpy's complex divide rounds differently on strided arrays (a reversed view).
-    direct, exchange = np.asarray(pair.direct, order="C"), np.asarray(pair.exchange, order="C")
-    # Complex moduli from math.hypot of the parts, not numpy's complex abs, which may round otherwise; np.abs of a
-    # real float is exact.
-    complex_channels = direct.dtype.kind == "c" or exchange.dtype.kind == "c"
-    if complex_channels:
-        norm = exact_map(math.hypot, direct.real, direct.imag, exchange.real, exchange.imag)
-        modulus_of = lambda z: exact_map(math.hypot, z.real, z.imag)
-    else:
-        norm = exact_map(math.hypot, np.abs(direct), np.abs(exchange))
-        modulus_of = np.abs
+    # [()] gives one angle's channels as numpy scalars, whose arithmetic costs a fraction of 0-d arrays'.
+    direct, exchange = np.asarray(pair.direct)[()], np.asarray(pair.exchange)[()]
+    modulus = lambda z: exact_map(math.hypot, z.real, z.imag) if z.dtype.kind == "c" else np.abs(z)
+    lead, tail = modulus(direct), modulus(exchange)
+    norm = exact_map(math.hypot, lead, tail)
     with np.errstate(invalid="ignore"):  # NaN from inf / inf fails the norm check; from 0 / 0, np.where drops it
-        f_plus = direct / norm
-        f_minus = exchange / norm
-        modulus = modulus_of(f_plus)
-        phase = np.conj(f_plus) / modulus  # +-1 exactly for real channels
-        if complex_channels:
-            # numpy's SIMD complex multiply rounds differently from its scalar loop; real operations round alike.
-            a, b, c, d = f_minus.real, f_minus.imag, phase.real, phase.imag
-            rotated = np.empty(direct.shape, complex)
-            rotated.real, rotated.imag = a * c - b * d, a * d + b * c
+        f_plus = lead / norm
+        vanishes = f_plus == 0.0
+        if direct.dtype.kind == "c" or exchange.dtype.kind == "c":
+            cos, sin, re, im = direct.real / lead, direct.imag / lead, exchange.real, exchange.imag
+            f_minus = np.empty(direct.shape, complex)
+            f_minus.real = np.where(vanishes, tail, re * cos + im * sin) / norm
+            f_minus.imag = np.where(vanishes, 0.0, im * cos - re * sin) / norm
         else:
-            rotated = f_minus * phase
-    f_minus = np.where(modulus == 0.0, modulus_of(f_minus), rotated)
+            f_minus = np.where(vanishes, tail, exchange * (direct / lead)) / norm  # direct / lead is cos, +-1
     if direct.ndim == 0:
-        return NormalizedAmplitudePair(modulus.item(), f_minus.item())
-    return NormalizedAmplitudePair(modulus, f_minus)
+        return NormalizedAmplitudePair(f_plus.item(), f_minus.item())
+    return NormalizedAmplitudePair(f_plus, f_minus)
 
 
 def coulomb_f_pm(theta: float) -> tuple[float, float]:

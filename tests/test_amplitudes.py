@@ -59,6 +59,12 @@ class TestKinematics:
         with pytest.raises(ValueError):
             Kinematics(m=1.0, E=2.0, charge_factor=0.0)
 
+    @pytest.mark.parametrize("charge_factor", [INF, NAN], ids=["inf", "nan"])
+    def test_rejects_non_finite_charge_factor(self, charge_factor):
+        """Named at construction, not later as a Coulomb overflow that blames the angle."""
+        with pytest.raises(ValueError, match="charge_factor"):
+            Kinematics(m=1.0, E=2.0, charge_factor=charge_factor)
+
     def test_massless_limit_is_allowed(self):
         assert Kinematics(m=0.0, E=1.0).E == 1.0
 
@@ -195,6 +201,28 @@ class TestCoulombAmplitudes:
             critical_angle(coulomb_provider(kin))
 
 
+def reference_normalize(direct, exchange):
+    """normalize of one pair in plain Python floats: each channel's modulus once, turn by the direct channel's phase,
+    then divide the parts by the norm."""
+    modulus = lambda z: math.hypot(z.real, z.imag) if isinstance(z, complex) else abs(z)
+    lead, tail = modulus(direct), modulus(exchange)
+    norm = math.hypot(lead, tail)
+    f_plus = lead / norm
+    phased = isinstance(direct, complex) or isinstance(exchange, complex)
+    if f_plus == 0.0:
+        return f_plus, complex(tail / norm, 0.0 / norm) if phased else tail / norm
+    cos = direct.real / lead
+    if not phased:
+        return f_plus, exchange * cos / norm
+    sin, re, im = direct.imag / lead, exchange.real, exchange.imag
+    return f_plus, complex((re * cos + im * sin) / norm, (im * cos - re * sin) / norm)
+
+
+def bits(pair):
+    """Exact bits of a normalized pair of Python numbers, the sign of zero and the type included."""
+    return [(type(z), z.real.hex(), z.imag.hex()) for z in pair]
+
+
 class TestNormalize:
     def test_symmetric_coulomb_point(self):
         """(-1/2, -1/2) -> (1, 1)/sqrt(2): the common negative sign is a global phase."""
@@ -269,6 +297,36 @@ class TestNormalize:
         monkeypatch.setattr(np, "abs", rounds_complex_up)
         assert np.abs(0.6 + 0.8j) > 1.0 and np.abs(1.0) == 1.0  # the wrapper is in place, for complex input only
         assert results() == want
+
+    def test_complex_pairs_match_a_numpy_free_reference(self):
+        """Grid, reversed grid and one-angle calls give reference_normalize's bits: no numpy complex arithmetic."""
+        rng = np.random.default_rng(17)
+        direct = rng.normal(size=20000) + 1j * rng.normal(size=20000)
+        exchange = rng.normal(size=20000) + 1j * rng.normal(size=20000)
+        direct[0], exchange[1] = 0.0, 0.0
+        want = [bits(reference_normalize(d, e)) for d, e in zip(direct.tolist(), exchange.tolist())]
+        grid = normalize(AmplitudePair(direct, exchange))
+        backward = normalize(AmplitudePair(direct[::-1], exchange[::-1]))
+        assert [bits(pair) for pair in zip(grid.f_plus.tolist(), grid.f_minus.tolist())] == want
+        assert [bits(pair) for pair in zip(backward.f_plus.tolist(), backward.f_minus.tolist())] == want[::-1]
+        for d, e, pair in zip(direct[:500].tolist(), exchange[:500].tolist(), want):
+            out = normalize(AmplitudePair(d, e))
+            assert bits((out.f_plus, out.f_minus)) == pair
+
+    def test_real_pairs_match_a_numpy_free_reference(self):
+        """Signed zeros, negative direct channels, a vanishing channel and 1e+-300 scales, as grid and one-angle calls."""
+        rng = np.random.default_rng(5)
+        direct = rng.normal(size=2000) * 10.0 ** rng.choice([-300, 0, 300], size=2000)
+        exchange = rng.normal(size=2000) * 10.0 ** rng.choice([-300, 0, 300], size=2000)
+        direct[:6] = [-2.0, -2.0, -0.0, 0.0, 3.0, -1e-300]
+        exchange[:6] = [0.0, -0.0, -1.0, 4.0, -0.0, 1e300]
+        want = [bits(reference_normalize(d, e)) for d, e in zip(direct.tolist(), exchange.tolist())]
+        assert want[0] == bits((1.0, -0.0)) and want[1] == bits((1.0, 0.0)) and want[5] == bits((0.0, 1.0))
+        grid = normalize(AmplitudePair(direct, exchange))
+        assert [bits(pair) for pair in zip(grid.f_plus.tolist(), grid.f_minus.tolist())] == want
+        for d, e, pair in zip(direct.tolist(), exchange.tolist(), want):
+            out = normalize(AmplitudePair(d, e))
+            assert bits((out.f_plus, out.f_minus)) == pair
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -496,13 +554,11 @@ class TestGridForms:
         with pytest.raises(ValueError, match="vanish"):
             normalize(AmplitudePair(np.array([0.6, 0.0, 1.0]), np.array([0.8, 0.0, 0.0])))
 
-    def test_rejects_complex_channels(self):
+    def test_complex_grid_matches_one_angle_and_evaluate_grid_refuses(self):
         """A complex grid keeps its relative phase and matches its one-angle calls; evaluating the grid rejects it.
 
         Bit for bit, wherever an element sits: the grid shifted by one
-        element and reversed gives the same values.  (numpy's vectorized
-        complex multiply rounds differently from its 0-d one on AVX-512
-        hosts, so normalize rotates complex pairs with real operations.)
+        element and reversed gives the same values.
         """
         rng = np.random.default_rng(21)
         direct = rng.normal(size=200) + 1j * rng.normal(size=200)

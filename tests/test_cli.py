@@ -356,7 +356,7 @@ class TestInternals:
         assert text.count("\n") == 2
         assert CSV_HEADER not in text
 
-    def test_evaluate_angle_fields(self):
+    def test_one_angle_grid_fields(self):
         """The one-angle grid that `point` evaluates."""
         columns = evaluate_grid(np.array([math.pi / 3]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
         (row,) = table_rows(columns)
