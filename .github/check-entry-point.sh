@@ -3,7 +3,7 @@
 # and the exit codes (0 / 2 / 1).  Run from any directory after `pip install -e .`: bash .github/check-entry-point.sh
 set -euo pipefail
 
-spinscatter critical
+test "$(spinscatter critical)" = "theta_c = 0.785398163397 rad (45.000000000000 deg)"
 test "$(spinscatter point 1.0 --format json | sha256sum | cut -d' ' -f1)" = 1cb1a9f572065ae4f730606e33682675bc6d2718259f4d6f8aaa8a9741eb75c2
 spinscatter scan --steps 10000 --format json | python -c "import json, sys; json.load(sys.stdin)"
 test "$(spinscatter scan --steps 100000 | sha256sum | cut -d' ' -f1)" = a0710443964afa638760074c620da76f1a400fd02b13e5d85a86d81e139fc9c0

@@ -6,9 +6,11 @@ path: angle_grid turns the options into an angle grid (`point` is a
 one-angle grid), evaluate_grid computes and checks it whole, one numpy
 column per field, and only then is the destination opened.  The table is
 written in blocks of BLOCK_ROWS rows, so that a long table never exists
-whole as Python rows or text.  Rows are plain tuples in FIELDS order, and
-both formats fill one template per row; the JSON bytes are those of
-json.dumps(indent=2), and the bytes do not depend on the block size.
+whole as Python lists or text.  render formats a block straight from the
+column lists, one template per row in either format; table_rows is the
+typed-row view (plain tuples in FIELDS order) that tests use.  The JSON
+bytes are those of json.dumps(indent=2), and the bytes do not depend on
+the block size.
 Output is deterministic byte for byte for a fixed invocation.
 
 Exit status, decided in main for every command: 0 on success, also when
@@ -48,6 +50,8 @@ _FRAME = {"csv": (CSV_HEADER + "\n", "", ""), "json": ("[\n", ",\n", "\n]\n")}
 DEFAULT_THETA_MIN = 0.01
 DEFAULT_THETA_MAX = math.pi / 2.0
 DEFAULT_STEPS = 200
+# The smallest positive float: `critical` bisects until no float lies inside the bracket, so each printed digit holds.
+DEFAULT_TOL = 5e-324
 
 _STATISTICS = {"fermion": ExchangeStatistics.FERMION, "boson": ExchangeStatistics.BOSON}
 
@@ -86,9 +90,10 @@ def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: E
     form, so every column follows from the normalized pair: the entropy and
     the Slater rank from the weights |f_plus|^2 and |f_minus|^2, F from the
     pair and the exchange sign.  The provider is called once, on the whole
-    grid.  Returns one numpy array per field, in FIELDS order; table_rows
-    turns them into rows.  A table has no column for a phase: a relative
-    phase above NORM_TOL raises ValueError (normalize drops a common phase).
+    grid.  Returns one numpy array per field, in FIELDS order; render
+    formats them, and table_rows turns them into rows.  A table has no
+    column for a phase: a relative phase above NORM_TOL raises ValueError
+    (normalize drops a common phase).
     """
     amps = normalize(provider(thetas))
     if (phased := first_failure(abs(np.imag(amps.f_minus)) <= NORM_TOL, thetas)) is not None:
@@ -101,15 +106,20 @@ def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: E
 def table_rows(columns: tuple, start: int = 0, stop: Optional[int] = None) -> list[tuple]:
     """Rows start:stop of evaluated columns, each a tuple of Python values in FIELDS order.
 
-    Five floats, a bool and an int, as the one-angle functions return them.
+    Five floats, a bool and an int, as the one-angle functions return them: the typed view of what render prints.
     """
     return list(zip(*[column[start:stop].tolist() for column in columns]))
 
 
-def render(rows: list[tuple], fmt: str) -> str:
-    """Format rows as a run of CSV lines or of indented JSON objects, without the table's head and tail."""
-    template = _ROW[fmt]
-    return _FRAME[fmt][1].join([template % (*r[:5], "true" if r[5] else "false", r[6]) for r in rows])
+def render(columns: tuple, fmt: str, start: int = 0, stop: Optional[int] = None) -> str:
+    """Format rows start:stop of evaluated columns as a run of CSV lines or of indented JSON objects.
+
+    The table's head and tail are not included.  Each column becomes one list per block, the violated flags are
+    spelled true/false once per block, and each row is one template % over the zipped lists.
+    """
+    values = [column[start:stop].tolist() for column in columns]
+    values[5] = ["true" if violated else "false" for violated in values[5]]
+    return _FRAME[fmt][1].join(map(_ROW[fmt].__mod__, zip(*values)))
 
 
 def _emit(columns: tuple, fmt: str, output: Optional[str]) -> None:
@@ -121,7 +131,7 @@ def _emit(columns: tuple, fmt: str, output: Optional[str]) -> None:
         for start in range(0, len(columns[0]), BLOCK_ROWS):
             if start:
                 fh.write(separator)
-            fh.write(render(table_rows(columns, start, start + BLOCK_ROWS), fmt))
+            fh.write(render(columns, fmt, start, start + BLOCK_ROWS))
         fh.write(tail)
 
 
@@ -151,7 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     crit = sub.add_parser("critical", help="locate the Bell crossing angle")
     crit.add_argument("--interaction", default="coulomb", help="coulomb or constant:<f_plus>")
-    crit.add_argument("--tol", type=float, default=1e-10)
+    crit.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help="stop bisecting once the bracket's half-width is at most tol (default: until no float lies inside it)",
+    )
 
     return parser
 

@@ -278,8 +278,13 @@ class TestCriticalAngle:
 
     @pytest.mark.parametrize(
         "provider, tol, calls",
-        [(coulomb_provider(), 1e-10, 1047), (coulomb_provider(), 1e-12, 1054), (constant_provider(0.6), 1e-10, 1024)],
-        ids=["coulomb", "coulomb-1e-12", "constant-0.6"],
+        [
+            (coulomb_provider(), 1e-10, 1047),
+            (coulomb_provider(), 1e-12, 1054),
+            (coulomb_provider(), 5e-324, 1063),  # the CLI's default: bisect until no float lies inside the bracket
+            (constant_provider(0.6), 1e-10, 1024),
+        ],
+        ids=["coulomb", "coulomb-1e-12", "coulomb-5e-324", "constant-0.6"],
     )
     def test_provider_traffic(self, provider, tol, calls):
         """One call per angle, each with a Python float: 1024 for the bracket scan, one per bisection step."""

@@ -15,8 +15,12 @@ import spinscatter
 from spinscatter.amplitudes import AmplitudePair, normalize
 from spinscatter.bell import correlator_oracle, standard_geometry
 from spinscatter.cli import (
+    _FRAME,
+    _ROW,
     BLOCK_ROWS,
     CSV_HEADER,
+    DEFAULT_THETA_MAX,
+    DEFAULT_THETA_MIN,
     FIELDS,
     angle_grid,
     build_parser,
@@ -218,7 +222,7 @@ class TestCriticalCommand:
     @pytest.mark.parametrize(
         "argv, line",
         [
-            ((), "theta_c = 0.785398163414 rad (45.000000000972 deg)"),
+            ((), "theta_c = 0.785398163397 rad (45.000000000000 deg)"),  # pi/4 to every printed digit
             (("--tol", "1e-12"), "theta_c = 0.785398163398 rad (45.000000000030 deg)"),
             (("--interaction", "constant:0.6"), "no crossing"),
         ],
@@ -350,11 +354,32 @@ class TestInternals:
 
     def test_render_csv_shape(self):
         """render writes one line per row; the header is the table's head, written once before the first block."""
-        rows = scan_rows("--theta-min", "0.3", "--theta-max", "0.6", "--steps", "2")
-        text = render(rows, "csv")
-        assert text.endswith("\n")
-        assert text.count("\n") == 2
-        assert CSV_HEADER not in text
+        args = build_parser().parse_args(["scan", "--theta-min", "0.3", "--theta-max", "0.6", "--steps", "3"])
+        columns = evaluate_grid(angle_grid(args), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
+        for start, stop, lines in ((0, None, 3), (1, None, 2), (0, 2, 2), (1, 2, 1)):
+            text = render(columns, "csv", start, stop)
+            assert text.endswith("\n")
+            assert text.count("\n") == lines
+            assert CSV_HEADER not in text
+        assert render(columns, "csv") == render(columns, "csv", 0, 3)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("statistics", list(ExchangeStatistics), ids=lambda s: s.name.lower())
+    @pytest.mark.parametrize("interaction", ["coulomb", "constant:0.6"])
+    def test_render_blocks_join_to_the_whole_table(self, fmt, statistics, interaction):
+        """Blocks cut anywhere join, with the format's separator, to the whole table; each row is _ROW of a typed row."""
+        steps = 2 * BLOCK_ROWS + 3
+        grid = np.linspace(DEFAULT_THETA_MIN, DEFAULT_THETA_MAX, steps)
+        columns = evaluate_grid(grid, parse_interaction(interaction), statistics)
+        whole = render(columns, fmt)
+        separator = _FRAME[fmt][1]
+        for cuts in ((), (1,), (BLOCK_ROWS - 1,), (BLOCK_ROWS,), (BLOCK_ROWS + 1,), (7, BLOCK_ROWS + 1, steps - 1)):
+            bounds = (0, *cuts, steps)
+            blocks = [render(columns, fmt, start, stop) for start, stop in zip(bounds, bounds[1:])]
+            assert separator.join(blocks) == whole
+        rows = table_rows(columns)
+        assert len(rows) == steps
+        assert whole == separator.join(_ROW[fmt] % (*row[:5], "true" if row[5] else "false", row[6]) for row in rows)
 
     def test_one_angle_grid_fields(self):
         """The one-angle grid that `point` evaluates."""
