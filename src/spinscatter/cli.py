@@ -3,14 +3,15 @@
 Emits CSV or JSON tables with the fields in FIELDS, suitable for
 regenerating the entropy and Bell curves.  `scan` and `point` share one
 path: angle_grid turns the options into an angle grid (`point` is a
-one-angle grid), evaluate_grid computes and checks it whole, one numpy
-column per field, and only then is the destination opened.  The table is
-written in blocks of BLOCK_ROWS rows, so that a long table never exists
-whole as Python lists or text.  render formats a block straight from the
-column lists, one template per row in either format; table_rows is the
-typed-row view (plain tuples in FIELDS order) that tests use.  The JSON
-bytes are those of json.dumps(indent=2), and the bytes do not depend on
-the block size.
+one-angle grid), evaluate_grid computes and checks it into one numpy
+column per field, a slice of BLOCK_ROWS angles at a time, and only then
+is the destination opened.  The table is written in blocks of WRITE_ROWS
+rows, so that neither a long grid's temporaries nor its table ever exist
+whole: a scan holds little more than its columns.  render formats a
+block straight from the column lists, one template per row in either
+format; table_rows is the typed-row view (plain tuples in FIELDS order)
+that tests use.  The JSON bytes are those of json.dumps(indent=2), and
+the bytes depend on neither block size.
 Output is deterministic byte for byte for a fixed invocation.
 
 Exit status, decided in main for every command: 0 on success, also when
@@ -46,6 +47,11 @@ _ROW = {
 }
 # Head, separator between rows (and so between blocks) and tail of a table.
 _FRAME = {"csv": (CSV_HEADER + "\n", "", ""), "json": ("[\n", ",\n", "\n]\n")}
+# Table rows formatted and written at a time.  Writing costs the same for 512 to 4096 rows, but a block's text must
+# stay below glibc's 128 KiB mmap threshold (512 rows: at most about 116 KB of JSON, 43 KB of CSV), or each block's
+# string is mapped and unmapped again: 1024-row JSON blocks took about 750 minor page faults per 10k-row table, 512-row
+# ones about 20.
+WRITE_ROWS = 512
 
 DEFAULT_THETA_MIN = 0.01
 DEFAULT_THETA_MAX = math.pi / 2.0
@@ -84,23 +90,34 @@ def angle_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: ExchangeStatistics) -> tuple:
-    """Compute the columns of an angle grid, one array expression per column.
+    """Compute the columns of an angle grid, one array expression per column and slice.
 
     The outgoing state f_plus |ud> + sign f_minus |du> is already in Schmidt
     form, so every column follows from the normalized pair: the entropy and
     the Slater rank from the weights |f_plus|^2 and |f_minus|^2, F from the
-    pair and the exchange sign.  The provider is called once, on the whole
-    grid.  Returns one numpy array per field, in FIELDS order; render
+    pair and the exchange sign.  The columns are allocated once; the
+    provider is called once per slice of BLOCK_ROWS angles, in grid order,
+    and each slice's values are stored into them, so the temporaries never
+    span the whole grid.  Every slice is evaluated and checked before this
+    returns.  Returns one numpy array per field, in FIELDS order; render
     formats them, and table_rows turns them into rows.  A table has no
     column for a phase: a relative phase above NORM_TOL raises ValueError
-    (normalize drops a common phase).
+    naming the first such angle (normalize drops a common phase).
     """
-    amps = normalize(provider(thetas))
-    if (phased := first_failure(abs(np.imag(amps.f_minus)) <= NORM_TOL, thetas)) is not None:
-        raise ValueError(f"tables need real channel amplitudes; relative phase at theta = {phased!r}")
-    w = amps.weights
-    f_value = bell_F(amps, statistics)
-    return thetas, amps.f_plus, amps.f_minus.real, shannon_bits(w), f_value, f_value < 1.0, rank_of_weights(w)
+    n = len(thetas)
+    columns = (thetas, *(np.empty(n) for _ in range(4)), np.empty(n, bool), np.empty(n, int))
+    for start in range(0, n, BLOCK_ROWS):
+        part = slice(start, start + BLOCK_ROWS)
+        angles = thetas[part]
+        amps = normalize(provider(angles))
+        if (phased := first_failure(abs(np.imag(amps.f_minus)) <= NORM_TOL, angles)) is not None:
+            raise ValueError(f"tables need real channel amplitudes; relative phase at theta = {phased!r}")
+        w = amps.weights
+        f_value = bell_F(amps, statistics)
+        values = (amps.f_plus, amps.f_minus.real, shannon_bits(w), f_value, f_value < 1.0, rank_of_weights(w))
+        for column, value in zip(columns[1:], values):
+            column[part] = value
+    return columns
 
 
 def table_rows(columns: tuple, start: int = 0, stop: Optional[int] = None) -> list[tuple]:
@@ -123,16 +140,21 @@ def render(columns: tuple, fmt: str, start: int = 0, stop: Optional[int] = None)
 
 
 def _emit(columns: tuple, fmt: str, output: Optional[str]) -> None:
-    """Write the table's head, its rows BLOCK_ROWS at a time, then its tail, to output or stdout."""
+    """Write the table's head, its rows WRITE_ROWS at a time, then its tail, to output or stdout."""
     head, separator, tail = _FRAME[fmt]
     to_file = output not in (None, "-")
     with open(output, "w", encoding="utf-8", newline="") if to_file else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(head)
-        for start in range(0, len(columns[0]), BLOCK_ROWS):
+        for start in range(0, len(columns[0]), WRITE_ROWS):
             if start:
                 fh.write(separator)
-            fh.write(render(columns, fmt, start, start + BLOCK_ROWS))
+            fh.write(render(columns, fmt, start, start + WRITE_ROWS))
         fh.write(tail)
+
+
+def _decimals(tol: float) -> int:
+    """Decimals that a root known to within tol can print: min(12, floor(-log10(2 tol))), at least 0."""
+    return math.floor(min(12.0, max(0.0, -math.log10(2.0 * tol))))  # clamped first: floor(-inf) raises
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -165,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_TOL,
-        help="stop bisecting once the bracket's half-width is at most tol (default: until no float lies inside it)",
+        help="stop bisecting once the bracket's half-width is at most tol (default: until no float lies inside it); "
+        "the root prints the decimals tol holds, at most 12",
     )
 
     return parser
@@ -177,7 +200,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.command == "critical":
             root = critical_angle(parse_interaction(args.interaction), tol=args.tol)
-            print("no crossing" if root is None else f"theta_c = {root:.12f} rad ({math.degrees(root):.12f} deg)")
+            if root is None:
+                print("no crossing")
+            else:
+                rad, deg = _decimals(args.tol), _decimals(math.degrees(args.tol))
+                print(f"theta_c = {root:.{rad}f} rad ({math.degrees(root):.{deg}f} deg)")
         else:
             columns = evaluate_grid(angle_grid(args), parse_interaction(args.interaction), _STATISTICS[args.statistics])
             _emit(columns, args.format, args.output)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import spinscatter
+from spinscatter import cli
 from spinscatter.amplitudes import AmplitudePair, normalize
 from spinscatter.bell import correlator_oracle, standard_geometry
 from spinscatter.cli import (
@@ -22,6 +23,7 @@ from spinscatter.cli import (
     DEFAULT_THETA_MAX,
     DEFAULT_THETA_MIN,
     FIELDS,
+    WRITE_ROWS,
     angle_grid,
     build_parser,
     evaluate_grid,
@@ -49,8 +51,10 @@ def scan_rows(*options):
 
 class TestScanCommand:
     def test_header_and_row_count(self, capsys):
-        """One header, one line per step and a final newline, also where the rows cross block boundaries."""
-        for steps in (5, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1):
+        """One header, one line per step and a final newline, also where the rows cross write or slice boundaries."""
+        for steps in (
+            5, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1,
+        ):
             code, out, _ = run(capsys, "scan", "--steps", str(steps))
             assert code == 0
             lines = out.splitlines()
@@ -139,23 +143,45 @@ class TestScanCommand:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_peak_memory_is_bounded(self, tmp_path):
-        """The table is written, and the grid's math functions mapped, in blocks of BLOCK_ROWS elements.
+        """A scan holds its columns plus one block: 49 bytes per angle (five float, one bool and one int column).
 
-        So no Python list holds a whole grid's values, rows or text.  Traced peaks: a 20k-step CSV scan about
-        2.8 MB (whole-table rows and text took about 10 MB), a 100k-step one about 11 MB, most of it numpy
-        temporaries of the evaluation (whole-grid float lists took about 17.6 MB).
+        The grid is evaluated in slices of BLOCK_ROWS angles into preallocated columns and written in blocks of
+        WRITE_ROWS rows, so no temporary, Python list or text spans the whole grid.  Traced peaks: about 1.7 MB for
+        a 20k-step CSV scan, 5.6 MB for a 100k-step one and 1.2 MB for a 10k-step JSON one.
         """
-        target = str(tmp_path / "scan.csv")
-        assert main(["scan", "--steps", "20", "--output", target]) == 0  # imports and caches outside the trace
-        for steps, bound in ((20000, 6_000_000), (100000, 14_000_000)):
+        target = str(tmp_path / "scan.out")
+        for fmt in ("csv", "json"):  # imports and caches outside the trace
+            assert main(["scan", "--steps", "20", "--format", fmt, "--output", target]) == 0
+        for steps, fmt in ((20000, "csv"), (100000, "csv"), (10000, "json")):
             tracemalloc.start()
             try:
-                code = main(["scan", "--steps", str(steps), "--output", target])
+                code = main(["scan", "--steps", str(steps), "--format", fmt, "--output", target])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert code == 0
-            assert peak < bound, steps
+            assert peak < 49 * steps + 1_500_000, (steps, fmt, peak)
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
+    def test_error_in_the_last_slice_comes_before_any_output(self, capsys, tmp_path, monkeypatch, to_file):
+        """The provider sees the grid slice by slice, in order; a phase at the last angle fails before output opens."""
+        steps = 2 * BLOCK_ROWS + 3
+        grid = np.linspace(DEFAULT_THETA_MIN, DEFAULT_THETA_MAX, steps)
+        slices = []
+
+        def provider(thetas):
+            slices.append(thetas.copy())
+            return AmplitudePair(np.ones(thetas.shape), np.where(thetas == grid[-1], 0.5j, 1.0))
+
+        monkeypatch.setattr(cli, "parse_interaction", lambda text: provider)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "scan", "--steps", str(steps), *(("--output", "t.csv") if to_file else ()))
+        assert code == 2
+        assert out == ""
+        assert not any(tmp_path.iterdir())
+        assert err == f"error: tables need real channel amplitudes; relative phase at theta = {float(grid[-1])!r}\n"
+        assert [len(angles) for angles in slices] == [BLOCK_ROWS, BLOCK_ROWS, 3]
+        assert np.concatenate(slices).tolist() == grid.tolist()
 
     def test_constant_interaction(self, capsys):
         code, out, _ = run(capsys, "scan", "--steps", "3", "--interaction", "constant:0.6")
@@ -223,10 +249,14 @@ class TestCriticalCommand:
         "argv, line",
         [
             ((), "theta_c = 0.785398163397 rad (45.000000000000 deg)"),  # pi/4 to every printed digit
-            (("--tol", "1e-12"), "theta_c = 0.785398163398 rad (45.000000000030 deg)"),
+            # min(12, floor(-log10(2 tol))) decimals, with tol in degrees for the degrees: each printed digit holds.
+            (("--tol", "1e-12"), "theta_c = 0.78539816340 rad (45.000000000 deg)"),
+            (("--tol", "1e-6"), "theta_c = 0.78540 rad (45.000 deg)"),
+            (("--tol", "inf"), "theta_c = 1 rad (45 deg)"),
+            (("--tol", "1e308"), "theta_c = 1 rad (45 deg)"),  # 2 tol and tol in degrees overflow to inf
             (("--interaction", "constant:0.6"), "no crossing"),
         ],
-        ids=["default", "tol-1e-12", "constant-0.6"],
+        ids=["default", "tol-1e-12", "tol-1e-6", "tol-inf", "tol-1e308", "constant-0.6"],
     )
     def test_golden_stdout(self, capsys, argv, line):
         code, out, _ = run(capsys, "critical", *argv)
@@ -373,7 +403,10 @@ class TestInternals:
         columns = evaluate_grid(grid, parse_interaction(interaction), statistics)
         whole = render(columns, fmt)
         separator = _FRAME[fmt][1]
-        for cuts in ((), (1,), (BLOCK_ROWS - 1,), (BLOCK_ROWS,), (BLOCK_ROWS + 1,), (7, BLOCK_ROWS + 1, steps - 1)):
+        for cuts in (
+            (), (1,), (WRITE_ROWS - 1,), (WRITE_ROWS,), (WRITE_ROWS + 1,), (BLOCK_ROWS - 1,), (BLOCK_ROWS,),
+            (BLOCK_ROWS + 1,), (7, WRITE_ROWS + 1, BLOCK_ROWS + 1, steps - 1),
+        ):
             bounds = (0, *cuts, steps)
             blocks = [render(columns, fmt, start, stop) for start, stop in zip(bounds, bounds[1:])]
             assert separator.join(blocks) == whole

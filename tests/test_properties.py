@@ -25,6 +25,7 @@ from spinscatter.bell import (  # noqa: E402
 from spinscatter.cli import (  # noqa: E402
     BLOCK_ROWS,
     FIELDS,
+    WRITE_ROWS,
     angle_grid,
     build_parser,
     evaluate_grid,
@@ -151,7 +152,11 @@ def test_random_grid_rows_match_one_angle_rows(thetas, interaction, name):
     interaction=interactions,
     name=statistics_names,
 )
-# Tables that end just before, at and just after a block boundary, and one that spans three blocks.
+# Tables that end just before, at and just after a write block's and an evaluation slice's boundary, and one that spans
+# three slices.
+@example(grid=(0.01, HALF_PI), steps=WRITE_ROWS - 1, interaction="constant:0.6", name="boson")
+@example(grid=(0.01, HALF_PI), steps=WRITE_ROWS, interaction="coulomb", name="fermion")
+@example(grid=(0.01, HALF_PI), steps=WRITE_ROWS + 1, interaction="coulomb", name="boson")
 @example(grid=(0.01, HALF_PI), steps=BLOCK_ROWS - 1, interaction="coulomb", name="fermion")
 @example(grid=(0.01, HALF_PI), steps=BLOCK_ROWS, interaction="coulomb", name="boson")
 @example(grid=(0.01, HALF_PI), steps=BLOCK_ROWS + 1, interaction="constant:0.6", name="fermion")
