@@ -11,7 +11,8 @@ whole: a scan holds little more than its columns.  render formats a
 block straight from the column lists, one template per row in either
 format; table_rows is the typed-row view (plain tuples in FIELDS order)
 that tests use.  The JSON bytes are those of json.dumps(indent=2), and
-the bytes depend on neither block size.
+the bytes depend on neither block size.  `critical` bisects the Bell
+crossing until no float lies inside the bracket and prints 12 decimals.
 Output is deterministic byte for byte for a fixed invocation.
 
 Exit status, decided in main for every command: 0 on success, also when
@@ -27,7 +28,7 @@ import contextlib
 import math
 import os
 import sys
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -56,8 +57,6 @@ WRITE_ROWS = 512
 DEFAULT_THETA_MIN = 0.01
 DEFAULT_THETA_MAX = math.pi / 2.0
 DEFAULT_STEPS = 200
-# The smallest positive float: `critical` bisects until no float lies inside the bracket, so each printed digit holds.
-DEFAULT_TOL = 5e-324
 
 _STATISTICS = {"fermion": ExchangeStatistics.FERMION, "boson": ExchangeStatistics.BOSON}
 
@@ -139,22 +138,15 @@ def render(columns: tuple, fmt: str, start: int = 0, stop: Optional[int] = None)
     return _FRAME[fmt][1].join(map(_ROW[fmt].__mod__, zip(*values)))
 
 
-def _emit(columns: tuple, fmt: str, output: Optional[str]) -> None:
-    """Write the table's head, its rows WRITE_ROWS at a time, then its tail, to output or stdout."""
+def _emit(columns: tuple, fmt: str, fh: TextIO) -> None:
+    """Write the table's head, its rows WRITE_ROWS at a time, then its tail, to the open file fh."""
     head, separator, tail = _FRAME[fmt]
-    to_file = output not in (None, "-")
-    with open(output, "w", encoding="utf-8", newline="") if to_file else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(head)
-        for start in range(0, len(columns[0]), WRITE_ROWS):
-            if start:
-                fh.write(separator)
-            fh.write(render(columns, fmt, start, start + WRITE_ROWS))
-        fh.write(tail)
-
-
-def _decimals(tol: float) -> int:
-    """Decimals that a root known to within tol can print: min(12, floor(-log10(2 tol))), at least 0."""
-    return math.floor(min(12.0, max(0.0, -math.log10(2.0 * tol))))  # clamped first: floor(-inf) raises
+    fh.write(head)
+    for start in range(0, len(columns[0]), WRITE_ROWS):
+        if start:
+            fh.write(separator)
+        fh.write(render(columns, fmt, start, start + WRITE_ROWS))
+    fh.write(tail)
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -181,15 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("theta", type=float, help="scattering angle in radians, in (0, pi/2]")
     _add_common_options(point)
 
-    crit = sub.add_parser("critical", help="locate the Bell crossing angle")
+    crit = sub.add_parser("critical", help="locate the Bell crossing angle to the float spacing")
     crit.add_argument("--interaction", default="coulomb", help="coulomb or constant:<f_plus>")
-    crit.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULT_TOL,
-        help="stop bisecting once the bracket's half-width is at most tol (default: until no float lies inside it); "
-        "the root prints the decimals tol holds, at most 12",
-    )
 
     return parser
 
@@ -199,15 +184,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     to_stdout = getattr(args, "output", None) in (None, "-")
     try:
         if args.command == "critical":
-            root = critical_angle(parse_interaction(args.interaction), tol=args.tol)
-            if root is None:
-                print("no crossing")
-            else:
-                rad, deg = _decimals(args.tol), _decimals(math.degrees(args.tol))
-                print(f"theta_c = {root:.{rad}f} rad ({math.degrees(root):.{deg}f} deg)")
+            # The smallest positive tol: bisect until no float lies inside the bracket, so all 12 decimals hold.
+            root = critical_angle(parse_interaction(args.interaction), tol=math.ulp(0.0))
+            print("no crossing" if root is None else f"theta_c = {root:.12f} rad ({math.degrees(root):.12f} deg)")
         else:
             columns = evaluate_grid(angle_grid(args), parse_interaction(args.interaction), _STATISTICS[args.statistics])
-            _emit(columns, args.format, args.output)
+            with contextlib.nullcontext(sys.stdout) if to_stdout else open(
+                args.output, "w", encoding="utf-8", newline=""
+            ) as fh:
+                _emit(columns, args.format, fh)
         sys.stdout.flush()  # a write to a full or closed stdout fails here, not in the interpreter's last flush
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

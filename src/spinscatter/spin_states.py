@@ -34,7 +34,7 @@ class ExchangeStatistics(enum.Enum):
     BOSON = 1
 
     def __init__(self, sign: int) -> None:
-        # A plain attribute: bell_F reads it once per call (a scan's grid, or one angle of critical_angle).
+        # A plain attribute: bell_F reads it once per call (a 4096-angle slice of a scan, or a step of critical_angle).
         self.sign = sign
 
 

@@ -256,9 +256,10 @@ class TestCriticalAngle:
         """f+ = 1 keeps F = 1.25 > 1 over the whole range: no crossing."""
         assert critical_angle(constant_provider(1.0)) is None
 
-    def test_invalid_tolerance(self):
-        with pytest.raises(ValueError):
-            critical_angle(coulomb_provider(), tol=0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_invalid_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            critical_angle(coulomb_provider(), tol=tol)
 
     def test_tolerance_below_float_spacing_terminates(self):
         """tol=1e-20 cannot be met near 1.2; bisection stops at adjacent floats."""
@@ -281,7 +282,7 @@ class TestCriticalAngle:
         [
             (coulomb_provider(), 1e-10, 1047),
             (coulomb_provider(), 1e-12, 1054),
-            (coulomb_provider(), 5e-324, 1063),  # the CLI's default: bisect until no float lies inside the bracket
+            (coulomb_provider(), 5e-324, 1063),  # what `critical` passes: bisect until no float lies inside the bracket
             (constant_provider(0.6), 1e-10, 1024),
         ],
         ids=["coulomb", "coulomb-1e-12", "coulomb-5e-324", "constant-0.6"],

@@ -13,7 +13,7 @@ import pytest
 
 import spinscatter
 from spinscatter import cli
-from spinscatter.amplitudes import AmplitudePair, normalize
+from spinscatter.amplitudes import AmplitudePair, coulomb_provider, normalize
 from spinscatter.bell import correlator_oracle, standard_geometry
 from spinscatter.cli import (
     _FRAME,
@@ -249,24 +249,28 @@ class TestCriticalCommand:
         "argv, line",
         [
             ((), "theta_c = 0.785398163397 rad (45.000000000000 deg)"),  # pi/4 to every printed digit
-            # min(12, floor(-log10(2 tol))) decimals, with tol in degrees for the degrees: each printed digit holds.
-            (("--tol", "1e-12"), "theta_c = 0.78539816340 rad (45.000000000 deg)"),
-            (("--tol", "1e-6"), "theta_c = 0.78540 rad (45.000 deg)"),
-            (("--tol", "inf"), "theta_c = 1 rad (45 deg)"),
-            (("--tol", "1e308"), "theta_c = 1 rad (45 deg)"),  # 2 tol and tol in degrees overflow to inf
             (("--interaction", "constant:0.6"), "no crossing"),
         ],
-        ids=["default", "tol-1e-12", "tol-1e-6", "tol-inf", "tol-1e308", "constant-0.6"],
+        ids=["default", "constant-0.6"],
     )
     def test_golden_stdout(self, capsys, argv, line):
         code, out, _ = run(capsys, "critical", *argv)
         assert code == 0
         assert out == line + "\n"
 
-    def test_bad_tolerance(self, capsys):
-        code, _, err = run(capsys, "critical", "--tol", "-1")
-        assert code == 2
-        assert err.startswith("error:")
+    def test_bisects_to_the_float_spacing(self, capsys, monkeypatch):
+        """The CLI runs critical_angle until no float lies inside the bracket: 1063 Coulomb calls, 1047 at 1e-10."""
+        provider = coulomb_provider()
+        seen = []
+
+        def recording(theta):
+            seen.append(type(theta))
+            return provider(theta)
+
+        monkeypatch.setattr(cli, "parse_interaction", lambda text: recording)
+        code, _, _ = run(capsys, "critical")
+        assert code == 0
+        assert seen == [float] * 1063
 
 
 _RANGE = "error: scan range must satisfy 0 < theta-min < theta-max <= pi/2\n"
@@ -291,7 +295,6 @@ _USAGE_ERRORS = [
     (("scan", "--theta-min", "-0.1", "--interaction", "nope"), _RANGE),
     (("point", "2.0", "--interaction", "nope"), "error: theta must lie in (0, pi/2], got 2.0\n"),
     (("critical", "--interaction", "nope"), _UNKNOWN),
-    (("critical", "--tol", "nan"), "error: tol must be positive, got nan\n"),
 ]
 # Outputs that fit in stdout's buffer (critical, point, a 3-row scan) and one far larger than a pipe holds.
 _STDOUT_COMMANDS = {
@@ -314,6 +317,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--format", "yaml"])
         assert exc.value.code == 2
+
+    def test_tolerance_option_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["critical", "--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_io_failure_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nodir" / "x.csv"
