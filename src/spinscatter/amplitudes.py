@@ -69,7 +69,9 @@ def check_unit_norm(norm_sq, what: str) -> None:
 def unit_weights(coeffs, what: str) -> list:
     """The weights |c|^2 of numbers, or of equal-shape arrays over a grid; ValueError unless they sum to 1.
 
-    Squared parts, not abs, whose numpy and Python forms can differ in the last bit: so grid and one-angle bits agree.
+    The package's one weight rule: the norm checks of pairs, states and decompositions, the entropy and the Slater rank
+    all take their |c|^2 here.  Squared parts, not abs, whose numpy and Python forms can differ in the last bit: so grid
+    and one-angle bits agree.
     """
     with np.errstate(over="ignore"):  # a huge component squares to inf, which fails the check
         weights = [c.real * c.real + c.imag * c.imag for c in coeffs]
@@ -106,7 +108,8 @@ class Kinematics:
     m : particle mass (m >= 0, finite).
     E : per-particle energy (finite); must exceed the mass so that the
         momentum transfer invariants are negative.  The scale 2 (m^2 - E^2)
-        must neither underflow to 0 nor overflow.
+        must neither underflow to 0 (m=0.0, E=1e-170) nor overflow
+        (m=1.0, E=1e200).
     charge_factor : overall coupling prefactor of the Coulomb amplitude
         (positive, finite).  It cancels from every normalized quantity, so
         its value only matters if the raw amplitudes are of interest.
@@ -194,10 +197,11 @@ def coulomb_amplitudes(theta, kin: Kinematics) -> AmplitudePair:
 
     Both components are real and negative; the coupling prefactor N is
     ``kin.charge_factor``.  An angle array gives a pair of arrays.  Where
-    1 - cos theta or 1 + cos theta rounds to 0, next to the beam axis, the
-    amplitude diverges; where N/t or N/u exceeds the float range otherwise
-    (a tiny energy scale), it overflows.  Either way: ValueError naming the
-    first such angle.
+    1 - cos theta or 1 + cos theta rounds to 0, within about 1e-8 of the
+    beam axis, the amplitude diverges; where N/t or N/u exceeds the float
+    range otherwise (a tiny energy scale, e.g. Kinematics(m=0.0, E=1e-155)),
+    it overflows.  Either way: ValueError naming the first such angle, which
+    the command line reports with exit status 2.
     """
     theta = validate_angle(theta)
     cos_theta = exact_map(math.cos, theta) if isinstance(theta, ndarray) else math.cos(theta)

@@ -177,8 +177,10 @@ def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[
     (a Python float): on a 1024-angle grid that brackets the first sign
     change of F - 1 (robust against non-monotone providers), then on one
     angle per bisection step, until the bracket's half-width drops below
-    tol or no float lies strictly inside it.  Returns None when F - 1
-    keeps a single sign over the whole range.
+    tol or no float lies strictly inside it.  The bracket's pairs are
+    stacked and normalized as one grid, whose elements equal their
+    one-angle results, so both stages see the same F.  Returns None when
+    F - 1 keeps a single sign over the whole range.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")

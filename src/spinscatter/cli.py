@@ -97,11 +97,13 @@ def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: E
     pair and the exchange sign.  The columns are allocated once; the
     provider is called once per slice of BLOCK_ROWS angles, in grid order,
     and each slice's values are stored into them, so the temporaries never
-    span the whole grid.  Every slice is evaluated and checked before this
-    returns.  Returns one numpy array per field, in FIELDS order; render
-    formats them, and table_rows turns them into rows.  A table has no
-    column for a phase: a relative phase above NORM_TOL raises ValueError
-    naming the first such angle (normalize drops a common phase).
+    span the whole grid and a scan holds 49 bytes per angle (five float, one
+    bool and one int column) plus one slice.  Every slice is evaluated and
+    checked before this returns.  Returns one numpy array per field, in
+    FIELDS order; render formats them, and table_rows turns them into rows.
+    A table has no column for a phase: a relative phase above NORM_TOL
+    raises ValueError naming the first such angle (normalize drops a common
+    phase).
     """
     n = len(thetas)
     columns = (thetas, *(np.empty(n) for _ in range(4)), np.empty(n, bool), np.empty(n, int))
@@ -180,6 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and return its exit status.
+
+    A ValueError gives 2, a broken pipe on stdout 0, any other OSError or a MemoryError 1; argparse itself exits 2 on a
+    malformed command line.
+    """
     args = build_parser().parse_args(argv)
     to_stdout = getattr(args, "output", None) in (None, "-")
     try:

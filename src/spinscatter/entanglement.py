@@ -41,6 +41,8 @@ def eoe_label_fixed(coeffs) -> float:
     """Entropy of entanglement with slot labels fixed: -sum |c|^2 log2 |c|^2.
 
     Zero for a single determinant, 1 bit for an equal-weight pair.
+    eoe_label_fixed(coulomb_f_pm(theta)) is the closed-form Coulomb entropy
+    curve.
     """
     return shannon_bits(unit_weights(np.asarray(coeffs, dtype=complex).ravel().tolist(), "sum |c|^2"))
 

@@ -11,8 +11,11 @@ from spinscatter.amplitudes import (
     constant_provider,
     coulomb_f_pm,
     coulomb_provider,
+    normalize,
 )
 from spinscatter.bell import (
+    _BRACKET_LO,
+    _SCAN_POINTS,
     BellGeometry,
     UnitVector3,
     bell_F,
@@ -101,6 +104,13 @@ class TestGeometry:
     def test_wrong_angles_rejected(self):
         with pytest.raises(ValueError):
             BellGeometry(Z_HAT, X_HAT, UnitVector3(0.0, 0.0, -1.0))
+
+    def test_non_coplanar_triple_rejected(self):
+        """c tilted 1e-6 out of the x-z plane keeps every pairwise angle within NORM_TOL, but not the triple product."""
+        geo = standard_geometry()
+        tilted = UnitVector3.normalized(geo.c_hat.x, 1e-6, geo.c_hat.z)
+        with pytest.raises(ValueError, match=r"^directions must be coplanar, got triple product 8\.66\d*e-07$"):
+            BellGeometry(geo.a_hat, geo.b_hat, tilted)
 
     def test_axis_identity(self):
         """|E(a,b) - E(a,c)| = 1 for every amplitude pair once a sits on the axis."""
@@ -297,6 +307,28 @@ class TestCriticalAngle:
 
         critical_angle(recording, tol=tol)
         assert seen == [float] * calls
+
+    def test_exact_zero_on_the_bracket_grid_is_the_root(self):
+        """Where F - 1 is exactly 0.0 at a bracket angle, that angle is the root, with no bisection step.
+
+        (cos phi, sin phi) at phi = 0.16991845472706094 gives F = 1 to the last bit; F > 1 before that angle and F < 1
+        after it.
+        """
+        phi = 0.16991845472706094
+        on_root = AmplitudePair(math.cos(phi), math.sin(phi))
+        assert bell_F(normalize(on_root)) - 1.0 == 0.0
+        thetas = np.linspace(_BRACKET_LO, math.pi / 2, _SCAN_POINTS).tolist()
+        k = 500
+        seen = []
+
+        def provider(theta):
+            seen.append(theta)
+            if theta == thetas[k]:
+                return on_root
+            return AmplitudePair(1.0, 0.0) if theta < thetas[k] else AmplitudePair(1.0, 1.0)
+
+        assert critical_angle(provider) == thetas[k]
+        assert seen == thetas
 
     def test_common_phase_gives_the_root_of_the_real_twin(self):
         """A phase common to both channels drops out: the root is bit for bit the real pair's."""

@@ -5,6 +5,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -55,6 +58,40 @@ pair_angles = st.one_of(
 )
 # Relative phase of the exchange channel: 0 keeps the pair real, pi/2 makes Re f_minus vanish.
 relative_phases = st.one_of(st.sampled_from([0.0, HALF_PI, math.pi]), st.floats(-math.pi, math.pi))
+
+
+# Number spellings a user might type: non-finite, signed zero, subnormal, huge, hex, digit-grouped, any float, and
+# angles in the CLI's range.
+number_texts = st.one_of(
+    st.sampled_from([
+        "nan", "-nan", "inf", "-inf", "-0.0", "0", "5e-324", "1e-310", "1e308", "1e400", "0x1p-1", "0x10", "1_0",
+        "0.7_5", "1.5707963267948966", "1.5707963267948968", "", "abc",
+    ]),
+    st.floats().map(repr),
+    st.floats(1e-9, HALF_PI).map(repr),
+)
+# f_plus spellings for constant:, valid or not.
+constant_texts = st.sampled_from(["nan", "inf", "-0.0", "1e-320", "1", "1.0000000000000002", "", "junk", "0.6"])
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv for one command, each option present or not, with number-like and junk values; at most 3000 rows."""
+    command = draw(st.sampled_from(["scan", "point", "critical"]))
+    argv = [command]
+    if command == "point":
+        argv.append(draw(number_texts))
+    if command == "scan":
+        for option in ("--theta-min", "--theta-max"):
+            if draw(st.booleans()):
+                argv += [option, draw(number_texts)]
+        if draw(st.booleans()):
+            argv += ["--steps", draw(st.one_of(st.integers(-3, 3000).map(str), st.sampled_from(["1_0", "0x10", "2.0"])))]
+    if draw(st.booleans()):
+        argv += ["--interaction", draw(st.one_of(st.just("coulomb"), constant_texts.map("constant:{}".format)))]
+    if command != "critical":
+        argv += draw(st.sampled_from([[], ["--statistics", "boson"], ["--format", "json"]]))
+    return argv
 
 
 @st.composite
@@ -210,3 +247,34 @@ def test_F_is_unchanged_by_a_common_z_rotation_of_b_and_c(phi, psi, name, turn):
     b, c = (UnitVector3(cos * v.x - sin * v.y, sin * v.x + cos * v.y, v.z) for v in (geo.b_hat, geo.c_hat))
     want = 1.0 + correlator_oracle(outgoing_state(amps, statistics), b, c)
     assert bell_F(amps, statistics) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argvs(), to_file=st.booleans())
+@example(argv=["point", "nan"], to_file=True)
+@example(argv=["scan", "--theta-min", "5e-324", "--steps", "3"], to_file=True)
+@example(argv=["scan", "--theta-max", "0x1p-1"], to_file=True)
+@example(argv=["point", "1e-310", "--interaction", "constant:1e-320"], to_file=True)
+@example(argv=["critical", "--interaction", "constant:"], to_file=False)
+def test_cli_exit_status_policy(argv, to_file):
+    """Any of these argvs exits 0 or 2 without a traceback; exit 2 prints nothing, ends in one error line, writes no file.
+
+    argparse's own usage errors name the program before `error:`.  A runtime failure with stdout as the output fails
+    too, as io.UnsupportedOperation: main points the real stdout at devnull, and a StringIO has no file descriptor.
+    """
+    with tempfile.TemporaryDirectory() as folder:
+        target = os.path.join(folder, "t.out")
+        full = [*argv, "--output", target] if to_file and argv[0] != "critical" else argv
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(full)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            assert re.match(r"(spinscatter \w+: )?error: ", err.getvalue().splitlines()[-1])
+            assert os.listdir(folder) == []
+        else:
+            assert err.getvalue() == ""
