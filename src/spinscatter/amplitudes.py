@@ -31,24 +31,17 @@ from numpy import ndarray
 
 # Shared tolerance for "is this normalized / real" checks on constructed values.
 NORM_TOL = 1e-12
-# Grid elements turned into Python values at a time by exact_map, and angles per slice of cli's evaluate_grid.  Traced
-# scan peaks (20k / 100k CSV rows, 10k JSON rows) at 1024: 1.2 / 5.1 / 0.9 MB, at 4096: 1.7 / 5.6 / 1.2 MB, at
-# 16384: 3.1 / 7.7 / 2.1 MB; the columns alone are 1.0 / 4.9 / 0.5 MB.  Evaluating 20k Coulomb angles takes 13.6 ms in
-# 1024-angle slices, 10.9 ms in 4096-angle ones and 10.8 ms in one pass (process CPU, median of 21).
-BLOCK_ROWS = 4096
 
 
 def exact_map(fn, *arrays) -> ndarray:
-    """fn, a float function from math, mapped over equal-shape arrays BLOCK_ROWS elements at a time; a float array.
+    """fn, a float function from math, mapped over equal-shape arrays in one pass; a float array of their shape.
 
     Not numpy's cos, hypot or log2 ufuncs, which may round an element unlike math (as one-angle calls use it) and unlike
-    another numpy build or CPU: so a grid element equals its one-angle result by construction.
+    another numpy build or CPU: so a grid element equals its one-angle result by construction.  The arrays are turned
+    into Python floats whole; no caller in the package passes more than one slice: cli's evaluate_grid one slice of a
+    scan, critical_angle its 1024-angle bracket, shannon_bits one weight of such a slice at a time.
     """
-    flat = [a.ravel() for a in arrays]
-    out = np.empty(flat[0].size)
-    for i in range(0, out.size, BLOCK_ROWS):
-        out[i : i + BLOCK_ROWS] = np.fromiter(map(fn, *(a[i : i + BLOCK_ROWS].tolist() for a in flat)), float)
-    return out.reshape(arrays[0].shape)
+    return np.fromiter(map(fn, *(a.ravel().tolist() for a in arrays)), float, arrays[0].size).reshape(arrays[0].shape)
 
 
 def first_failure(ok, values):

@@ -26,13 +26,13 @@ def shannon_bits(weights):
     NaN and +-inf raise ValueError.  A sequence of numbers gives one entropy
     (a Python float).  One equal-shape array per weight (for a scan, one per
     determinant, over the angle grid) gives the array of entropies, element
-    by element, with math.log2 through exact_map.
+    by element, with math.log2 through exact_map, one weight at a time: so
+    exact_map sees no more than one slice of a scan.
     """
     w = np.clip(finite_weights(weights), 0.0, 1.0)
-    log2 = exact_map(math.log2, np.where(w > 0.0, w, 1.0))  # 0 log 0 := 0, as log2(1) = 0
     total = 0.0
-    for term in w * log2:
-        total = total - term
+    for row in w:
+        total = total - row * exact_map(math.log2, np.where(row > 0.0, row, 1.0))  # 0 log 0 := 0, as log2(1) = 0
     total = total + 0.0  # never return -0.0
     return total if w.ndim > 1 else float(total)
 

@@ -78,10 +78,6 @@ class SlaterDecomposition:
         """[|c_s|^2, |c_minus_s|^2]; unit_weights checks their sum."""
         return unit_weights((self.c_s, self.c_minus_s), "|c_s|^2 + |c_minus_s|^2")
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.c_s, self.c_minus_s], dtype=complex)
-
 
 def outgoing_state(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics) -> TwoSpinState:
     """Outgoing spin state for identical particles with opposite initial spins.

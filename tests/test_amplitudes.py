@@ -24,7 +24,7 @@ from spinscatter.amplitudes import (
 )
 from spinscatter import amplitudes
 from spinscatter.bell import UnitVector3, critical_angle
-from spinscatter.cli import evaluate_grid, table_rows
+from spinscatter.cli import evaluate_grid
 from spinscatter.entanglement import eoe_label_fixed
 from spinscatter.spin_states import ExchangeStatistics, SlaterDecomposition, TwoSpinState
 
@@ -284,8 +284,8 @@ class TestNormalize:
 
         def results():
             vanishing = normalize(AmplitudePair(np.array([0.0, 0.6]), np.array([0.3 + 0.4j, 0.8j])))
-            rows = table_rows(evaluate_grid(grid, provider, ExchangeStatistics.FERMION))
-            return rows, critical_angle(provider), vanishing.f_plus.tolist(), vanishing.f_minus.tolist()
+            columns = [column.tolist() for column in evaluate_grid(grid, provider, ExchangeStatistics.FERMION)]
+            return columns, critical_angle(provider), vanishing.f_plus.tolist(), vanishing.f_minus.tolist()
 
         want = results()
         exact_abs = np.abs

@@ -1,6 +1,8 @@
 """Tests for the command-line interface: formats, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -30,10 +32,14 @@ from spinscatter.cli import (
     main,
     parse_interaction,
     render,
-    table_rows,
 )
 from spinscatter.entanglement import eoe_label_fixed
 from spinscatter.spin_states import ExchangeStatistics, outgoing_state, slater_decomposition, slater_rank
+
+
+def rows_of(columns):
+    """The rows of evaluated columns: tuples of Python values in FIELDS order, as render reads them."""
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def run(capsys, *argv):
@@ -46,7 +52,7 @@ def scan_rows(*options):
     """The rows a fermion `scan` writes for these grid options: its own grid rule, then the table columns."""
     args = build_parser().parse_args(["scan", *options])
     provider = parse_interaction(args.interaction)
-    return table_rows(evaluate_grid(angle_grid(args), provider, ExchangeStatistics.FERMION))
+    return rows_of(evaluate_grid(angle_grid(args), provider, ExchangeStatistics.FERMION))
 
 
 class TestScanCommand:
@@ -343,6 +349,43 @@ class TestUsageErrors:
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not target.exists()
 
+    @pytest.mark.parametrize("capture", ["capsys", "redirect-stdout"])
+    def test_out_of_memory_on_stdout_exit_code(self, capsys, monkeypatch, capture):
+        """Out of memory with stdout as the output: exit 1 and one `error:` line, also when stdout has no descriptor."""
+
+        def linspace(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        if capture == "capsys":
+            assert run(capsys, "scan") == (1, "", "error: Unable to allocate\n")
+        else:
+            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["scan"])
+            assert (code, out.getvalue(), err.getvalue()) == (1, "", "error: Unable to allocate\n")
+
+    def test_broken_pipe_on_stdout_in_process(self, capsys, monkeypatch):
+        """A stdout without a descriptor whose reader has gone: exit 0 and nothing on stderr."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["point", "1.0"])
+        monkeypatch.undo()
+        assert (code, capsys.readouterr().err) == (0, "")
+
+    @pytest.mark.parametrize("theta, want", [("1.0", 0), ("2.0", 2)])
+    def test_entry_point_exit_status(self, capsys, monkeypatch, theta, want):
+        """The installed script's function raises SystemExit with main's status for the argv in sys.argv."""
+        monkeypatch.setattr(sys, "argv", ["spinscatter", "point", theta])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry_point()
+        assert exc.value.code == want
+        out, err = capsys.readouterr()
+        assert (out.startswith(CSV_HEADER), err.startswith("error:")) == (want == 0, want == 2)
+
     @pytest.mark.parametrize("command", sorted(_STDOUT_COMMANDS))
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
@@ -419,14 +462,14 @@ class TestInternals:
             bounds = (0, *cuts, steps)
             blocks = [render(columns, fmt, start, stop) for start, stop in zip(bounds, bounds[1:])]
             assert separator.join(blocks) == whole
-        rows = table_rows(columns)
+        rows = rows_of(columns)
         assert len(rows) == steps
         assert whole == separator.join(_ROW[fmt] % (*row[:5], "true" if row[5] else "false", row[6]) for row in rows)
 
     def test_one_angle_grid_fields(self):
         """The one-angle grid that `point` evaluates."""
         columns = evaluate_grid(np.array([math.pi / 3]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
-        (row,) = table_rows(columns)
+        (row,) = rows_of(columns)
         record = dict(zip(FIELDS, row))
         assert record["F"] == pytest.approx(0.8, abs=1e-12)
         assert record["violated"] is True
@@ -438,7 +481,7 @@ class TestInternals:
         phase = complex(math.cos(0.3), math.sin(0.3))
         real = lambda thetas: AmplitudePair(np.cos(thetas / 2), np.sin(thetas / 2))
         phased = lambda thetas: AmplitudePair(phase * np.cos(thetas / 2), phase * np.sin(thetas / 2))
-        rows = [table_rows(evaluate_grid(grid, provider, ExchangeStatistics.FERMION)) for provider in (real, phased)]
+        rows = [rows_of(evaluate_grid(grid, provider, ExchangeStatistics.FERMION)) for provider in (real, phased)]
         for want, got in zip(*rows):
             assert [type(v) for v in got] == [float] * 5 + [bool, int]
             assert got[:5] == pytest.approx(want[:5], rel=1e-15, abs=1e-15)
@@ -452,7 +495,7 @@ class TestInternals:
         exchange = 1e-12 + 1e-12j
         provider = lambda thetas: AmplitudePair(np.ones(thetas.shape), np.full(thetas.shape, exchange))
         amps = normalize(AmplitudePair(1.0, exchange))
-        for row in table_rows(evaluate_grid(np.array([0.5, 1.0]), provider, ExchangeStatistics.FERMION)):
+        for row in rows_of(evaluate_grid(np.array([0.5, 1.0]), provider, ExchangeStatistics.FERMION)):
             assert row[1:3] == (amps.f_plus, amps.f_minus.real)
             assert row[3] == eoe_label_fixed([amps.f_plus, amps.f_minus])
             assert row[6] == slater_rank(slater_decomposition(amps))
@@ -461,19 +504,17 @@ class TestInternals:
     def test_rows_do_not_depend_on_numpy_ufuncs(self, monkeypatch, interaction):
         """The grid takes cos, hypot and log2 from math: numpy ufuncs that round one ulp up change no bit of a row."""
         grid, provider = np.linspace(0.01, math.pi / 2, 200), parse_interaction(interaction)
-        want = table_rows(evaluate_grid(grid, provider, ExchangeStatistics.FERMION))
+        want = rows_of(evaluate_grid(grid, provider, ExchangeStatistics.FERMION))
         for name in ("cos", "sin", "hypot", "log", "log2", "exp", "sqrt"):
             ufunc = getattr(np, name)
             monkeypatch.setattr(np, name, lambda *args, _f=ufunc, **kwargs: np.nextafter(_f(*args, **kwargs), np.inf))
         assert np.sqrt(4.0) > 2.0  # the wrappers are in place
-        assert table_rows(evaluate_grid(grid, provider, ExchangeStatistics.FERMION)) == want
+        assert rows_of(evaluate_grid(grid, provider, ExchangeStatistics.FERMION)) == want
 
     def test_records_are_plain_python_values(self):
         """Columns leave numpy as float / bool / int, so JSON and CSV see what the scalar path gave."""
         columns = evaluate_grid(np.array([1.0]), parse_interaction("coulomb"), ExchangeStatistics.FERMION)
         assert len(columns) == len(FIELDS) and all(column.shape == (1,) for column in columns)
-        (row,) = table_rows(columns)
         assert FIELDS == ("theta", "f_plus", "f_minus", "entropy", "F", "violated", "slater_rank")
         assert CSV_HEADER == ",".join(FIELDS)
-        assert type(row) is tuple and len(row) == len(FIELDS)
-        assert [type(v) for v in row] == [float] * 5 + [bool, int]
+        assert [type(value) for column in columns for value in column.tolist()] == [float] * 5 + [bool, int]

@@ -95,7 +95,7 @@ class TestEntropyOfState:
             state = outgoing_state(amps, ExchangeStatistics.FERMION)
             dec = slater_decomposition(amps)
             assert entropy_of_state(state) == pytest.approx(
-                eoe_label_fixed(dec.coefficients), abs=1e-12
+                eoe_label_fixed([dec.c_s, dec.c_minus_s]), abs=1e-12
             )
 
 

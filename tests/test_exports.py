@@ -1,28 +1,62 @@
-"""The package root exports only names that something uses."""
+"""The package ships only names that something uses."""
 
-import re
+import ast
+from collections import Counter
 from pathlib import Path
 
-import spinscatter
-
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(path for path in (ROOT / "src" / "spinscatter").glob("*.py") if path.name != "__init__.py")
+USERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
 
 
-def test_every_export_has_a_use():
-    """Each name in spinscatter.__all__ occurs outside its own def/class line.
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
-    Where it counts: a module of the package other than __init__.py, the
-    acceptance criteria, or the benchmark's scripts.  A name that only its
-    own unit tests call is dead weight in the public surface.
+
+def definitions(tree):
+    """(name, node) of each module-level def, class and assigned name, and of each public method or property."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, node
+
+
+def uses(node):
+    """Names that code under node reads: identifiers, attributes, and strings that are exactly a name.
+
+    Strings count because perfbench patches functions by name; a docstring or comment that mentions a name does not.
     """
-    sources = [path for path in (ROOT / "src" / "spinscatter").glob("*.py") if path.name != "__init__.py"]
-    sources += [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]
-    lines = [line for path in sources for line in path.read_text(encoding="utf-8").splitlines()]
+    found = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            found[child.attr] += 1
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str) and child.value.isidentifier():
+            found[child.value] += 1
+    return found
+
+
+def test_every_src_name_has_a_use():
+    """Each module-level name and public method or property of the package is read outside its own definition.
+
+    Where it counts: the package's modules other than __init__.py (which only re-exports), the acceptance criteria,
+    or the benchmark's scripts.  A name that only its own unit tests call is dead weight in the package.
+    """
+    trees = {path: parse(path) for path in MODULES}
+    everywhere = sum((uses(tree) for tree in [*trees.values(), *map(parse, USERS)]), Counter())
     unused = [
-        name
-        for name in spinscatter.__all__
-        if not any(
-            re.search(rf"\b{name}\b", line) and not re.match(rf"(def|class) {name}\b", line) for line in lines
-        )
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        for name, node in definitions(tree)
+        if everywhere[name] == uses(node)[name]
     ]
     assert unused == []

@@ -34,7 +34,6 @@ from spinscatter.cli import (  # noqa: E402
     evaluate_grid,
     main,
     parse_interaction,
-    table_rows,
 )
 from spinscatter.entanglement import eoe_label_fixed  # noqa: E402
 from spinscatter.spin_states import (  # noqa: E402
@@ -136,13 +135,18 @@ def phased_pair(phi, psi):
     return normalize(AmplitudePair(math.cos(phi), exchange))
 
 
+def rows_of(columns):
+    """The rows of evaluated columns: tuples of Python values in FIELDS order, as render reads them."""
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def scan_rows(lo, hi, steps, interaction, name):
     """The rows `scan` writes over [lo, hi]: its own grid rule, then the table columns."""
     args = build_parser().parse_args([
         "scan", "--theta-min", repr(lo), "--theta-max", repr(hi), "--steps", str(steps),
         "--interaction", interaction, "--statistics", name,
     ])
-    return table_rows(evaluate_grid(angle_grid(args), parse_interaction(args.interaction), STATISTICS[args.statistics]))
+    return rows_of(evaluate_grid(angle_grid(args), parse_interaction(args.interaction), STATISTICS[args.statistics]))
 
 
 def scalar_row(theta, provider, statistics):
@@ -177,9 +181,9 @@ def test_random_grid_rows_match_one_angle_rows(thetas, interaction, name):
     provider = round_off_phase_provider if interaction == "round-off-phase" else parse_interaction(interaction)
     statistics = STATISTICS[name]
     want = [scalar_row(theta, provider, statistics) for theta in thetas.tolist()]
-    assert table_rows(evaluate_grid(thetas, provider, statistics)) == want
-    assert table_rows(evaluate_grid(thetas[1:], provider, statistics)) == want[1:]
-    assert table_rows(evaluate_grid(thetas[::-1], provider, statistics)) == want[::-1]
+    assert rows_of(evaluate_grid(thetas, provider, statistics)) == want
+    assert rows_of(evaluate_grid(thetas[1:], provider, statistics)) == want[1:]
+    assert rows_of(evaluate_grid(thetas[::-1], provider, statistics)) == want[::-1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -259,8 +263,8 @@ def test_F_is_unchanged_by_a_common_z_rotation_of_b_and_c(phi, psi, name, turn):
 def test_cli_exit_status_policy(argv, to_file):
     """Any of these argvs exits 0 or 2 without a traceback; exit 2 prints nothing, ends in one error line, writes no file.
 
-    argparse's own usage errors name the program before `error:`.  A runtime failure with stdout as the output fails
-    too, as io.UnsupportedOperation: main points the real stdout at devnull, and a StringIO has no file descriptor.
+    argparse's own usage errors name the program before `error:`.  None of them is a runtime failure, whose exit 1
+    fails the test.
     """
     with tempfile.TemporaryDirectory() as folder:
         target = os.path.join(folder, "t.out")

@@ -99,10 +99,6 @@ class TestSlaterDecomposition:
             state = outgoing_state(amps, ExchangeStatistics.FERMION)
             assert (dec.c_s, dec.c_minus_s) == (state.c_updown, state.c_downup)
 
-    def test_coefficients_array(self):
-        dec = SlaterDecomposition(0.6, -0.8)
-        np.testing.assert_array_equal(dec.coefficients, np.array([0.6, -0.8], dtype=complex))
-
 
 class TestSlaterRank:
     def test_single_determinant(self):
