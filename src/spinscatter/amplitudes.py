@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-# Bound once: the isinstance checks that tell one angle from a grid run on every one-angle provider call.
+# Bound once: the isinstance checks that tell one angle or pair from a grid run on every one-angle call.
 from numpy import ndarray
 
 # Shared tolerance for "is this normalized / real" checks on constructed values.
@@ -46,6 +46,8 @@ def exact_map(fn, *arrays) -> ndarray:
 
 def first_failure(ok, values):
     """None if the check ok holds at every element, else the first element of values where it fails, as a float."""
+    if isinstance(ok, bool):  # one number's check
+        return None if ok else float(values)
     return None if np.asarray(ok).all() else float(np.extract(np.logical_not(ok), values)[0])
 
 
@@ -66,8 +68,11 @@ def unit_weights(coeffs, what: str) -> list:
     all take their |c|^2 here.  Squared parts, not abs, whose numpy and Python forms can differ in the last bit: so grid
     and one-angle bits agree.
     """
-    with np.errstate(over="ignore"):  # a huge component squares to inf, which fails the check
-        weights = [c.real * c.real + c.imag * c.imag for c in coeffs]
+    if isinstance(coeffs[0], ndarray):
+        with np.errstate(over="ignore"):  # a huge component squares to inf, which fails the check
+            weights = [c.real * c.real + c.imag * c.imag for c in coeffs]
+    else:  # Python numbers square to inf without a warning
+        weights = [c.real * c.real + c.imag * c.imag for c in map(complex, coeffs)]
     check_unit_norm(sum(weights), what)
     return weights
 
@@ -166,8 +171,13 @@ class NormalizedAmplitudePair:
 
     def __post_init__(self) -> None:
         self.weights  # computed and checked here, read by the entropy and rank columns
-        anchor = np.where(self.f_plus == 0, self.f_minus, self.f_plus)
-        if ((abs(anchor.imag) > NORM_TOL) | (anchor.real < 0.0)).any():
+        if isinstance(self.f_plus, ndarray):
+            anchor = np.where(self.f_plus == 0, self.f_minus, self.f_plus)
+            unfixed = ((abs(anchor.imag) > NORM_TOL) | (anchor.real < 0.0)).any()
+        else:
+            anchor = self.f_minus if self.f_plus == 0 else self.f_plus
+            unfixed = abs(anchor.imag) > NORM_TOL or anchor.real < 0.0
+        if unfixed:
             raise ValueError("global phase not fixed: leading amplitude must be real and >= 0")
 
     @cached_property
@@ -224,17 +234,34 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
     (f_minus instead where f_plus vanishes), then divided by math.hypot of
     its channel moduli; the relative phase is preserved.  Only real
     operations on the parts, no numpy complex arithmetic.  A pair of numbers
-    gives a pair of Python numbers; a pair of channel arrays over an angle
-    grid gives a pair of arrays, each element equal to its one-angle result
-    wherever it sits in the grid.  NormalizedAmplitudePair checks the
-    result, so a NaN or +-inf anywhere raises ValueError.
+    takes the grid's steps on Python floats and gives Python numbers, equal
+    bit for bit to its element in any grid of channel arrays, which gives a
+    pair of arrays.  NormalizedAmplitudePair checks the result, so a NaN or
+    +-inf anywhere raises ValueError; a zero norm, or a zero lead with a NaN
+    norm, gives NaN as numpy's 0 / 0 does, not ZeroDivisionError.
     """
-    # [()] gives one angle's channels as numpy scalars, whose arithmetic costs a fraction of 0-d arrays'.
-    direct, exchange = np.asarray(pair.direct)[()], np.asarray(pair.exchange)[()]
+    if not isinstance(pair.direct, ndarray) and not isinstance(pair.exchange, ndarray):
+        number = lambda z: complex(z) if isinstance(z, (complex, np.complexfloating)) else float(z)
+        direct, exchange = number(pair.direct), number(pair.exchange)
+        phased = type(direct) is complex or type(exchange) is complex
+        lead, tail = (math.hypot(z.real, z.imag) if type(z) is complex else abs(z) for z in (direct, exchange))
+        norm = math.hypot(lead, tail)
+        f_plus = lead / norm if norm else math.nan  # 0 / 0, NaN as in numpy
+        if f_plus == 0.0:
+            f_minus = complex(tail / norm, 0.0) if phased else tail / norm
+        elif f_plus != f_plus:  # NaN, so lead may be 0: the norm check fails whatever f_minus is
+            f_minus = math.nan
+        elif phased:
+            cos, sin, re, im = direct.real / lead, direct.imag / lead, exchange.real, exchange.imag
+            f_minus = complex((re * cos + im * sin) / norm, (im * cos - re * sin) / norm)
+        else:
+            f_minus = exchange * (direct / lead) / norm
+        return NormalizedAmplitudePair(f_plus, f_minus)
+    direct, exchange = np.asarray(pair.direct), np.asarray(pair.exchange)
     modulus = lambda z: exact_map(math.hypot, z.real, z.imag) if z.dtype.kind == "c" else np.abs(z)
     lead, tail = modulus(direct), modulus(exchange)
     norm = exact_map(math.hypot, lead, tail)
-    with np.errstate(invalid="ignore"):  # NaN from inf / inf fails the norm check; from 0 / 0, np.where drops it
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail the norm check, or np.where drops them
         f_plus = lead / norm
         vanishes = f_plus == 0.0
         if direct.dtype.kind == "c" or exchange.dtype.kind == "c":
@@ -244,8 +271,6 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
             f_minus.imag = np.where(vanishes, 0.0, im * cos - re * sin) / norm
         else:
             f_minus = np.where(vanishes, tail, exchange * (direct / lead)) / norm  # direct / lead is cos, +-1
-    if direct.ndim == 0:
-        return NormalizedAmplitudePair(f_plus.item(), f_minus.item())
     return NormalizedAmplitudePair(f_plus, f_minus)
 
 

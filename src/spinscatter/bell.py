@@ -177,16 +177,16 @@ def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[
     (a Python float): on a 1024-angle grid that brackets the first sign
     change of F - 1 (robust against non-monotone providers), then on one
     angle per bisection step, until the bracket's half-width drops below
-    tol or no float lies strictly inside it.  The bracket's pairs are
-    stacked and normalized as one grid, whose elements equal their
-    one-angle results, so both stages see the same F.  Returns None when
-    F - 1 keeps a single sign over the whole range.
+    tol or no float lies strictly inside it.  The bracket is one grid with
+    one array per channel; a step normalizes its pair in Python floats, bit
+    for bit as in a grid.  None when F - 1 keeps one sign over the range.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
     thetas = np.linspace(_BRACKET_LO, math.pi / 2.0, _SCAN_POINTS).tolist()
-    direct, exchange = np.array([(p.direct, p.exchange) for p in map(provider, thetas)]).T
+    pairs = list(map(provider, thetas))
+    direct, exchange = np.array([p.direct for p in pairs]), np.array([p.exchange for p in pairs])
     values = bell_F(normalize(AmplitudePair(direct, exchange))) - 1.0
     # The first angle where F - 1 is 0 or has the other sign at the next angle.
     hits = np.flatnonzero((values == 0.0) | np.append(np.diff(values < 0.0), False))

@@ -585,6 +585,18 @@ class TestGridForms:
         phased = normalize(AmplitudePair(1.0 + 1.0j, 2.0 - 0.5j))
         assert type(phased.f_plus) is float and type(phased.f_minus) is complex
 
+    def test_one_pair_makes_no_numpy_array_call(self, monkeypatch):
+        """One pair is normalized and checked in Python numbers: no np.where, errstate, asarray or fromiter runs."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy array call on one pair")
+
+        for name in ("where", "errstate", "asarray", "fromiter"):
+            monkeypatch.setattr(np, name, refuse)
+        for direct, exchange in ((-1.0, -1.0 / 3.0), (1.0 + 1.0j, 2.0 - 0.5j)):
+            amps = normalize(AmplitudePair(direct, exchange))
+            assert NormalizedAmplitudePair(amps.f_plus, amps.f_minus) == amps
+
     @pytest.mark.parametrize(
         "f_plus, f_minus",
         [([0.6, -0.6, 0.6], [0.8, 0.8, 0.8]), ([0.6, 0.6j, 0.6], [0.8, 0.8, 0.8]), ([0.6, 0.0, 0.6], [0.8, -1.0, 0.8])],

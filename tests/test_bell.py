@@ -337,6 +337,25 @@ class TestCriticalAngle:
         phased = critical_angle(lambda t: AmplitudePair(phase * math.cos(t / 2), phase * math.sin(t / 2)))
         assert real_twin == phased == 0.33983690940795663
 
+    def test_real_channel_beside_a_complex_one(self):
+        """A provider returning (float, complex) gives its all-complex twin's root, with as many provider calls."""
+        phase = complex(math.cos(0.3), math.sin(0.3))
+        seen = {"mixed": 0, "complex": 0}
+
+        def provider(kind, direct):
+            def call(theta):
+                seen[kind] += 1
+                return AmplitudePair(direct(math.cos(theta / 2)), phase * math.sin(theta / 2))
+
+            return call
+
+        for tol in (1e-10, 5e-324):
+            seen.update(mixed=0, complex=0)
+            root = critical_angle(provider("mixed", float), tol=tol)
+            assert root == critical_angle(provider("complex", complex), tol=tol)
+            assert root == pytest.approx(math.asin(1.0 / (3.0 * math.cos(0.3))), abs=1e-10)
+            assert seen["mixed"] == seen["complex"] > _SCAN_POINTS
+
     def test_relative_phase_root(self):
         """F = 5/4 - (3/4) sin(theta) cos(psi) for f_minus with phase psi: the root is asin(1 / (3 cos psi)).
 

@@ -1,4 +1,5 @@
-"""Property tests: scan tables against one-angle calls of the same functions, closed forms against the Pauli oracle."""
+"""Property tests: scan tables against one-angle calls, one pair against its one-element grid, closed forms against the
+Pauli oracle."""
 
 import cmath
 import contextlib
@@ -8,6 +9,7 @@ import math
 import os
 import re
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,6 +59,20 @@ pair_angles = st.one_of(
 )
 # Relative phase of the exchange channel: 0 keeps the pair real, pi/2 makes Re f_minus vanish.
 relative_phases = st.one_of(st.sampled_from([0.0, HALF_PI, math.pi]), st.floats(-math.pi, math.pi))
+
+# Channel values at the edges of float arithmetic, as a provider might return them: signed zeros, infinities, NaN,
+# subnormals, huge and tiny values, ints, numpy floats, and complex values built from these, so one channel may be real
+# and the other complex.
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(),
+)
+real_channels = st.one_of(edge_floats, st.integers(-(2**62), 2**62), edge_floats.map(np.float64))
+channels = st.one_of(
+    real_channels,
+    st.builds(complex, edge_floats, edge_floats),
+    st.builds(complex, edge_floats, edge_floats).map(np.complex128),
+)
 
 
 # Number spellings a user might type: non-finite, signed zero, subnormal, huge, hex, digit-grouped, any float, and
@@ -216,6 +232,38 @@ def test_json_template_matches_json_dumps(grid, steps, interaction, name):
     assert out.getvalue().splitlines(keepends=True) == want.splitlines(keepends=True)
 
 
+def float_bits(x):
+    """The bits of a float or complex, signed zeros told apart, and its Python type."""
+    return type(x), x.real.hex(), x.imag.hex()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(direct=channels, exchange=channels)
+@example(direct=0.0, exchange=0.0)  # zero norm
+@example(direct=0.0, exchange=math.nan)  # zero lead, NaN norm
+@example(direct=-0.0j, exchange=math.inf)  # f_plus = 0: f_minus is inf / inf
+@example(direct=3, exchange=-4.0 + 0.0j)  # an int beside a complex channel
+@example(direct=1.0 + 1.0j, exchange=1.7e308 + 1.7e308j)  # the turned exchange channel overflows to inf
+def test_one_pair_matches_its_one_element_grid(direct, exchange):
+    """normalize of one pair raises ValueError exactly when its one-element arrays do; else it is bit for bit theirs.
+
+    The arrays are built per channel, as critical_angle's bracket builds them.  The pair is a plain namespace, so
+    normalize meets the pairs AmplitudePair refuses too; no exception but ValueError may escape.
+    """
+    outcomes = []
+    for d, e in ((direct, exchange), (np.array([direct]), np.array([exchange]))):
+        try:
+            outcomes.append(normalize(SimpleNamespace(direct=d, exchange=e)))
+        except ValueError:
+            outcomes.append(None)
+    one, grid = outcomes
+    assert (one is None) == (grid is None)
+    if one is not None:
+        assert type(one.f_plus) is float and type(one.f_minus) in (float, complex)
+        want = (grid.f_plus.tolist()[0], grid.f_minus.tolist()[0])
+        assert [float_bits(x) for x in (one.f_plus, one.f_minus)] == [float_bits(x) for x in want]
+
+
 @settings(max_examples=150, deadline=None)
 @given(phi=pair_angles, psi=relative_phases, rotation=rotations())
 def test_closed_form_matches_oracle_under_rotation(phi, psi, rotation):
@@ -260,11 +308,13 @@ def test_F_is_unchanged_by_a_common_z_rotation_of_b_and_c(phi, psi, name, turn):
 @example(argv=["scan", "--theta-max", "0x1p-1"], to_file=True)
 @example(argv=["point", "1e-310", "--interaction", "constant:1e-320"], to_file=True)
 @example(argv=["critical", "--interaction", "constant:"], to_file=False)
+@example(argv=["critical", "--tol", "1e-6"], to_file=False)  # unrecognized: argparse names the program alone
 def test_cli_exit_status_policy(argv, to_file):
     """Any of these argvs exits 0 or 2 without a traceback; exit 2 prints nothing, ends in one error line, writes no file.
 
-    argparse's own usage errors name the program before `error:`.  None of them is a runtime failure, whose exit 1
-    fails the test.
+    argparse's own usage errors name the program (`spinscatter: error:` for an unrecognized argument) or the program
+    and command (`spinscatter scan: error:` for a bad option value) before `error:`.  None of them is a runtime failure,
+    whose exit 1 fails the test.
     """
     with tempfile.TemporaryDirectory() as folder:
         target = os.path.join(folder, "t.out")
@@ -278,7 +328,7 @@ def test_cli_exit_status_policy(argv, to_file):
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert out.getvalue() == ""
-            assert re.match(r"(spinscatter \w+: )?error: ", err.getvalue().splitlines()[-1])
+            assert re.match(r"(spinscatter( \w+)?: )?error: ", err.getvalue().splitlines()[-1])
             assert os.listdir(folder) == []
         else:
             assert err.getvalue() == ""
