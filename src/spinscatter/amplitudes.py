@@ -51,6 +51,12 @@ def first_failure(ok, values):
     return None if np.asarray(ok).all() else float(np.extract(np.logical_not(ok), values)[0])
 
 
+def check_channel_norm(norm) -> None:
+    """Raise ValueError unless every channel norm is finite and nonzero; it names the first that is 0.0, inf or nan."""
+    if (bad := first_failure((0.0 < norm) & (norm < math.inf), norm)) is not None:
+        raise ValueError(f"channel norm hypot(|direct|, |exchange|) must be finite and nonzero, got {bad!r}")
+
+
 def check_unit_norm(norm_sq, what: str) -> None:
     """Raise ValueError unless norm_sq is within NORM_TOL of 1; NaN and +-inf fail too.
 
@@ -139,20 +145,13 @@ class Kinematics:
 class AmplitudePair:
     """Raw (unnormalized) amplitudes of the direct and exchange channels.
 
-    A provider called with an angle grid returns one pair of equal-shape
-    arrays; then no element may vanish in both channels.
+    A plain record: normalize decides whether a pair can be normalized.  A
+    provider called with an angle grid returns one pair of equal-shape
+    arrays.
     """
 
     direct: complex
     exchange: complex
-
-    def __post_init__(self) -> None:
-        if isinstance(self.direct, ndarray):
-            vanishes = ((self.direct == 0) & (self.exchange == 0)).any()
-        else:
-            vanishes = self.direct == 0 and self.exchange == 0
-        if vanishes:
-            raise ValueError("amplitude pair must not vanish in both channels")
 
 
 @dataclass(frozen=True)
@@ -236,9 +235,10 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
     operations on the parts, no numpy complex arithmetic.  A pair of numbers
     takes the grid's steps on Python floats and gives Python numbers, equal
     bit for bit to its element in any grid of channel arrays, which gives a
-    pair of arrays.  NormalizedAmplitudePair checks the result, so a NaN or
-    +-inf anywhere raises ValueError; a zero norm, or a zero lead with a NaN
-    norm, gives NaN as numpy's 0 / 0 does, not ZeroDivisionError.
+    pair of arrays.  The one gate for a raw pair: check_channel_norm refuses,
+    with ValueError, a pair whose channel norm is zero (both channels
+    vanish), inf (a channel is inf, or finite channels overflow) or NaN;
+    NormalizedAmplitudePair then checks the result.
     """
     if not isinstance(pair.direct, ndarray) and not isinstance(pair.exchange, ndarray):
         number = lambda z: complex(z) if isinstance(z, (complex, np.complexfloating)) else float(z)
@@ -246,11 +246,10 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
         phased = type(direct) is complex or type(exchange) is complex
         lead, tail = (math.hypot(z.real, z.imag) if type(z) is complex else abs(z) for z in (direct, exchange))
         norm = math.hypot(lead, tail)
-        f_plus = lead / norm if norm else math.nan  # 0 / 0, NaN as in numpy
+        check_channel_norm(norm)
+        f_plus = lead / norm
         if f_plus == 0.0:
             f_minus = complex(tail / norm, 0.0) if phased else tail / norm
-        elif f_plus != f_plus:  # NaN, so lead may be 0: the norm check fails whatever f_minus is
-            f_minus = math.nan
         elif phased:
             cos, sin, re, im = direct.real / lead, direct.imag / lead, exchange.real, exchange.imag
             f_minus = complex((re * cos + im * sin) / norm, (im * cos - re * sin) / norm)
@@ -261,7 +260,8 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
     modulus = lambda z: exact_map(math.hypot, z.real, z.imag) if z.dtype.kind == "c" else np.abs(z)
     lead, tail = modulus(direct), modulus(exchange)
     norm = exact_map(math.hypot, lead, tail)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail the norm check, or np.where drops them
+    check_channel_norm(norm)
+    with np.errstate(invalid="ignore", over="ignore"):  # np.where drops 0 / 0 at a zero lead; inf fails unit_weights
         f_plus = lead / norm
         vanishes = f_plus == 0.0
         if direct.dtype.kind == "c" or exchange.dtype.kind == "c":

@@ -16,20 +16,21 @@ import math
 import numpy as np
 
 from .amplitudes import exact_map, unit_weights
-from .spin_states import TwoSpinState, finite_weights, reduced_density_matrix
+from .spin_states import TwoSpinState, reduced_density_matrix
 
 
 def shannon_bits(weights):
     """Shannon entropy -sum w log2 w of a weight distribution, in bits.
 
-    0 log 0 := 0; finite weights are clamped to [0, 1] to absorb round-off,
-    NaN and +-inf raise ValueError.  A sequence of numbers gives one entropy
-    (a Python float).  One equal-shape array per weight (for a scan, one per
-    determinant, over the angle grid) gives the array of entropies, element
-    by element, with math.log2 through exact_map, one weight at a time: so
-    exact_map sees no more than one slice of a scan.
+    The weights are ones that unit_weights made, or the eigenvalues of a
+    checked TwoSpinState, so none is NaN or +-inf; 0 log 0 := 0, and they
+    are clamped to [0, 1] to absorb round-off.  A sequence of numbers gives
+    one entropy (a Python float).  One equal-shape array per weight (for a
+    scan, one per determinant, over the angle grid) gives the array of
+    entropies, element by element, with math.log2 through exact_map, one
+    weight at a time: so exact_map sees no more than one slice of a scan.
     """
-    w = np.clip(finite_weights(weights), 0.0, 1.0)
+    w = np.clip(np.asarray(weights, dtype=float), 0.0, 1.0)
     total = 0.0
     for row in w:
         total = total - row * exact_map(math.log2, np.where(row > 0.0, row, 1.0))  # 0 log 0 := 0, as log2(1) = 0

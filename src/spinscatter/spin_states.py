@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .amplitudes import NormalizedAmplitudePair, first_failure, unit_weights
+from .amplitudes import NormalizedAmplitudePair, unit_weights
 
 
 class ExchangeStatistics(enum.Enum):
@@ -107,28 +107,15 @@ def slater_decomposition(amps: NormalizedAmplitudePair) -> SlaterDecomposition:
 RANK_EPSILON = 1e-12  # a determinant weight at or below this counts as absent (round-off of a unit-norm pair)
 
 
-def finite_weights(weights) -> np.ndarray:
-    """Determinant weights as a float array; ValueError naming the first NaN or +-inf.
-
-    A sequence of numbers gives a 1-d array, one equal-shape array per
-    weight gives their stack.
-    """
-    w = np.asarray(weights, dtype=float)
-    if (bad := first_failure(np.isfinite(w), w)) is not None:
-        raise ValueError(f"weights must be finite, got {bad!r}")
-    return w
-
-
 def rank_of_weights(weights):
     """Number of determinant weights |c|^2 above RANK_EPSILON (1 or 2).
 
     Rank 1 means a single determinant, i.e. nothing beyond
     antisymmetrization; rank 2 is genuine two-particle entanglement.  With
     one equal-shape array per determinant (an angle grid), the result is
-    the integer array of ranks, element by element.  NaN and +-inf raise
-    ValueError.
+    the integer array of ranks, element by element.  The weights are ones
+    that unit_weights made, so no NaN or +-inf reaches here.
     """
-    finite_weights(weights)
     return sum(w > RANK_EPSILON for w in weights)
 
 

@@ -6,9 +6,10 @@ route before the implementation existed, or is asserted against a second
 in-package route.  Those second routes are not all independent: for
 criterion 3 the closed-form entropy eoe_label_fixed(coulomb_f_pm(theta)) and
 the eigenvalue route entropy_of_state both end in shannon_bits, so they
-cannot catch an error in it.  The independent check still to come is a
-reference that computes in the decimal module and imports nothing from
-spinscatter.
+cannot catch an error in it.  The independent check is
+tests/reference.py, which computes in the decimal module and imports
+nothing from spinscatter; so far tests/test_reference.py holds the
+default scan's printed columns to it.
 """
 
 import math

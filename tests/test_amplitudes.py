@@ -3,7 +3,6 @@
 import cmath
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -329,10 +328,16 @@ class TestNormalize:
             assert bits((out.f_plus, out.f_minus)) == pair
 
     def test_degenerate_pair_rejected(self):
-        with pytest.raises(ValueError):
-            AmplitudePair(0.0, 0.0)
-        with pytest.raises(ValueError):
-            normalize(SimpleNamespace(direct=0.0, exchange=0.0))
+        """A pair that vanishes in both channels is a plain record; normalize refuses it, naming the zero norm."""
+        for pair in (AmplitudePair(0.0, -0.0), AmplitudePair(np.array([1.0, 0.0]), np.array([0.0, -0.0j]))):
+            with pytest.raises(ValueError, match="must be finite and nonzero, got 0.0$"):
+                normalize(pair)
+
+    def test_overflowing_norm_is_named(self):
+        """Finite channels whose norm overflows are refused as inf, not as a unit-norm failure of a (0, 0) result."""
+        for pair in (AmplitudePair(1.5e308, 1.5e308), AmplitudePair(np.array([1.5e308]), np.array([1.5e308]))):
+            with pytest.raises(ValueError, match="must be finite and nonzero, got inf$"):
+                normalize(pair)
 
 
 class TestClosedFormPair:
@@ -455,6 +460,15 @@ class TestUnitNormCheck:
             lambda: SlaterDecomposition(NAN, 0.0),
             lambda: UnitVector3(NAN, 0.0, 0.0),
             lambda: eoe_label_fixed([NAN, 0.0]),
+            # The weights that shannon_bits and rank_of_weights take come from these checks, never NaN or +-inf.
+            lambda: eoe_label_fixed([NAN, 1.0]),
+            lambda: eoe_label_fixed([INF, 0.5]),
+            lambda: eoe_label_fixed([0.5, -INF]),
+            lambda: SlaterDecomposition(NAN, NAN),
+            lambda: SlaterDecomposition(NAN, 0.5),
+            lambda: SlaterDecomposition(INF, 0.0),
+            lambda: TwoSpinState(0.0, INF, 0.0, 0.0),
+            lambda: TwoSpinState(0.0, 0.5, -INF, 0.0),
             # A square that overflows is inf too: squared with multiplies, not float ** 2, which raises OverflowError.
             lambda: NormalizedAmplitudePair(1e200, 0.0),
             lambda: NormalizedAmplitudePair(0.0, 1e200j),
@@ -466,6 +480,8 @@ class TestUnitNormCheck:
         ids=[
             "normalize-nan", "normalize-inf", "pair-nan", "state-nan",
             "slater-nan", "vector-nan", "entropy-nan",
+            "shannon-nan", "shannon-inf", "shannon-minus-inf", "rank-nan-nan", "rank-nan", "rank-inf",
+            "state-inf", "state-minus-inf",
             "pair-huge", "pair-huge-complex", "state-huge", "slater-huge", "vector-huge", "entropy-huge",
         ],
     )
@@ -543,15 +559,17 @@ class TestGridForms:
     @pytest.mark.parametrize("bad", [NAN, INF, -INF])
     @pytest.mark.parametrize("channel", ["direct", "exchange"])
     def test_rejects_one_non_finite_element(self, channel, bad):
+        """The channel norm of a NaN is nan, of an inf is inf: normalize's gate names it, in the grid and one pair."""
         values = {"direct": np.array([0.6, 0.6, 0.6]), "exchange": np.array([0.8, 0.8, 0.8])}
         values[channel][1] = bad
-        with pytest.raises(ValueError, match="must be 1"):
+        message = f"must be finite and nonzero, got {abs(bad)!r}$"
+        with pytest.raises(ValueError, match=message):
             normalize(AmplitudePair(values["direct"], values["exchange"]))
-        with pytest.raises(ValueError, match="must be 1"):
+        with pytest.raises(ValueError, match=message):
             normalize(AmplitudePair(float(values["direct"][1]), float(values["exchange"][1])))
 
     def test_rejects_one_vanishing_pair(self):
-        with pytest.raises(ValueError, match="vanish"):
+        with pytest.raises(ValueError, match="must be finite and nonzero, got 0.0$"):
             normalize(AmplitudePair(np.array([0.6, 0.0, 1.0]), np.array([0.8, 0.0, 0.0])))
 
     def test_complex_grid_matches_one_angle_and_evaluate_grid_refuses(self):

@@ -330,6 +330,14 @@ class TestCriticalAngle:
         assert critical_angle(provider) == thetas[k]
         assert seen == thetas
 
+    def test_vanishing_pair_on_the_bracket_grid_is_refused(self):
+        """A user provider that vanishes in both channels at one bracket angle meets normalize's gate, naming 0.0."""
+        thetas = np.linspace(_BRACKET_LO, math.pi / 2, _SCAN_POINTS).tolist()
+        coulomb = coulomb_provider()
+        provider = lambda theta: AmplitudePair(0.0, 0.0) if theta == thetas[500] else coulomb(theta)
+        with pytest.raises(ValueError, match=r"channel norm hypot\(\|direct\|, \|exchange\|\) must be .*, got 0.0$"):
+            critical_angle(provider)
+
     def test_common_phase_gives_the_root_of_the_real_twin(self):
         """A phase common to both channels drops out: the root is bit for bit the real pair's."""
         phase = complex(math.cos(0.3), math.sin(0.3))

@@ -170,24 +170,31 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
     def test_error_in_the_last_slice_comes_before_any_output(self, capsys, tmp_path, monkeypatch, to_file):
-        """The provider sees the grid slice by slice, in order; a phase at the last angle fails before output opens."""
+        """The provider sees the grid slice by slice, in order; a phase, or a pair that vanishes in both channels, at
+        the last angle fails before output opens."""
         steps = 2 * BLOCK_ROWS + 3
         grid = np.linspace(DEFAULT_THETA_MIN, DEFAULT_THETA_MAX, steps)
-        slices = []
-
-        def provider(thetas):
-            slices.append(thetas.copy())
-            return AmplitudePair(np.ones(thetas.shape), np.where(thetas == grid[-1], 0.5j, 1.0))
-
-        monkeypatch.setattr(cli, "parse_interaction", lambda text: provider)
+        last = {
+            (1.0, 0.5j): f"tables need real channel amplitudes; relative phase at theta = {float(grid[-1])!r}",
+            (0.0, 0.0): "channel norm hypot(|direct|, |exchange|) must be finite and nonzero, got 0.0",
+        }
         monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, "scan", "--steps", str(steps), *(("--output", "t.csv") if to_file else ()))
-        assert code == 2
-        assert out == ""
-        assert not any(tmp_path.iterdir())
-        assert err == f"error: tables need real channel amplitudes; relative phase at theta = {float(grid[-1])!r}\n"
-        assert [len(angles) for angles in slices] == [BLOCK_ROWS, BLOCK_ROWS, 3]
-        assert np.concatenate(slices).tolist() == grid.tolist()
+        for (direct, exchange), message in last.items():
+            slices = []
+
+            def provider(thetas):
+                slices.append(thetas.copy())
+                at_last = thetas == grid[-1]
+                return AmplitudePair(np.where(at_last, direct, 1.0), np.where(at_last, exchange, 1.0))
+
+            monkeypatch.setattr(cli, "parse_interaction", lambda text: provider)
+            code, out, err = run(capsys, "scan", "--steps", str(steps), *(("--output", "t.csv") if to_file else ()))
+            assert code == 2
+            assert out == ""
+            assert not any(tmp_path.iterdir())
+            assert err == f"error: {message}\n"
+            assert [len(angles) for angles in slices] == [BLOCK_ROWS, BLOCK_ROWS, 3]
+            assert np.concatenate(slices).tolist() == grid.tolist()
 
     def test_constant_interaction(self, capsys):
         code, out, _ = run(capsys, "scan", "--steps", "3", "--interaction", "constant:0.6")

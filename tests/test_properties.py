@@ -9,7 +9,6 @@ import math
 import os
 import re
 import tempfile
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,7 +63,10 @@ relative_phases = st.one_of(st.sampled_from([0.0, HALF_PI, math.pi]), st.floats(
 # subnormals, huge and tiny values, ints, numpy floats, and complex values built from these, so one channel may be real
 # and the other complex.
 edge_floats = st.one_of(
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300, -1e-300]),
+    st.sampled_from([
+        0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300, -1e-300,
+        1.5e308, -1.5e308, 1.7976931348623157e308,
+    ]),
     st.floats(),
 )
 real_channels = st.one_of(edge_floats, st.integers(-(2**62), 2**62), edge_floats.map(np.float64))
@@ -243,17 +245,18 @@ def float_bits(x):
 @example(direct=0.0, exchange=math.nan)  # zero lead, NaN norm
 @example(direct=-0.0j, exchange=math.inf)  # f_plus = 0: f_minus is inf / inf
 @example(direct=3, exchange=-4.0 + 0.0j)  # an int beside a complex channel
-@example(direct=1.0 + 1.0j, exchange=1.7e308 + 1.7e308j)  # the turned exchange channel overflows to inf
+@example(direct=1.0 + 1.0j, exchange=1.7e308 + 1.7e308j)  # the exchange channel's modulus overflows to inf
+@example(direct=1.5e308, exchange=1.5e308)  # finite channels whose norm overflows to inf
 def test_one_pair_matches_its_one_element_grid(direct, exchange):
     """normalize of one pair raises ValueError exactly when its one-element arrays do; else it is bit for bit theirs.
 
-    The arrays are built per channel, as critical_angle's bracket builds them.  The pair is a plain namespace, so
-    normalize meets the pairs AmplitudePair refuses too; no exception but ValueError may escape.
+    The arrays are built per channel, as critical_angle's bracket builds them.  AmplitudePair is a plain record, so
+    normalize meets every pair, those with a zero, inf or NaN channel norm too; no exception but ValueError may escape.
     """
     outcomes = []
     for d, e in ((direct, exchange), (np.array([direct]), np.array([exchange]))):
         try:
-            outcomes.append(normalize(SimpleNamespace(direct=d, exchange=e)))
+            outcomes.append(normalize(AmplitudePair(d, e)))
         except ValueError:
             outcomes.append(None)
     one, grid = outcomes

@@ -115,17 +115,6 @@ class TestSlaterRank:
         assert RANK_EPSILON == 1e-12
         assert rank_of_weights((1.0 - weight, weight)) == rank
 
-    @pytest.mark.parametrize(
-        "weights",
-        [[float("nan"), float("nan")], [float("nan"), 0.5], [float("inf"), 0.0]],
-        ids=["nan-nan", "nan", "inf"],
-    )
-    def test_non_finite_weights_rejected(self, weights):
-        with pytest.raises(ValueError, match="finite"):
-            rank_of_weights(weights)
-        with pytest.raises(ValueError, match="finite"):
-            rank_of_weights([np.array([0.5, w]) for w in weights])
-
     def test_near_forward_scattering_is_still_rank_two(self):
         """The exchange weight is tiny at small angles but above the default cut."""
         assert slater_rank(slater_decomposition(coulomb_pair(0.01))) == 2
