@@ -13,6 +13,9 @@ same_as_module() {
 }
 same_as_module critical
 same_as_module critical --interaction constant:0.6
+# constant:<f_plus> answers an angle grid with one pair of numbers, which the grid path broadcasts.
+same_as_module scan --interaction constant:0.6 --format json
+same_as_module scan --interaction constant:0 --statistics boson
 same_as_module point 1.0 --format json
 same_as_module scan --steps 10000 --format json
 same_as_module scan --steps 100000

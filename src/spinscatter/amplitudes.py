@@ -46,8 +46,8 @@ def exact_map(fn, *arrays) -> ndarray:
 
 def first_failure(ok, values):
     """None if the check ok holds at every element, else the first element of values where it fails, as a float."""
-    if isinstance(ok, bool):  # one number's check
-        return None if ok else float(values)
+    if isinstance(ok, bool):  # one value's check, numpy-free on success (critical_angle checks every bisection step)
+        return None if ok else float(np.ravel(values)[0])  # a number pair answering a grid fails at its first angle
     return None if np.asarray(ok).all() else float(np.extract(np.logical_not(ok), values)[0])
 
 
@@ -145,9 +145,9 @@ class Kinematics:
 class AmplitudePair:
     """Raw (unnormalized) amplitudes of the direct and exchange channels.
 
-    A plain record: normalize decides whether a pair can be normalized.  A
-    provider called with an angle grid returns one pair of equal-shape
-    arrays.
+    A plain record: normalize decides whether a pair can be normalized.  On
+    an angle grid a channel is an array of its shape, or a number where it
+    does not depend on the angle; normalize broadcasts the two.
     """
 
     direct: complex
@@ -185,12 +185,11 @@ class NormalizedAmplitudePair:
         return unit_weights((self.f_plus, self.f_minus), "|f_plus|^2 + |f_minus|^2")
 
 
-# An interaction model: maps a scattering angle onto the raw channel pair.
-# Physically consistent providers satisfy the exchange relation
-# provider(pi - theta) == (exchange, direct) of provider(theta), i.e. the
-# exchange channel is the direct channel at the supplementary angle.
-# The built-in providers also take an angle array; a user provider need
-# only take one angle, which is all critical_angle passes.
+# An interaction model: maps a scattering angle onto the raw channel pair.  Physically consistent providers satisfy the
+# exchange relation provider(pi - theta) == (exchange, direct) of provider(theta), i.e. the exchange channel is the
+# direct channel at the supplementary angle.  The built-in providers also take an angle array, and may answer it with
+# numbers where the amplitudes do not depend on the angle; a user provider need only take one angle, which is all
+# critical_angle passes.
 AmplitudeProvider = Callable[[float], AmplitudePair]
 
 
@@ -235,10 +234,12 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
     operations on the parts, no numpy complex arithmetic.  A pair of numbers
     takes the grid's steps on Python floats and gives Python numbers, equal
     bit for bit to its element in any grid of channel arrays, which gives a
-    pair of arrays.  The one gate for a raw pair: check_channel_norm refuses,
-    with ValueError, a pair whose channel norm is zero (both channels
-    vanish), inf (a channel is inf, or finite channels overflow) or NaN;
-    NormalizedAmplitudePair then checks the result.
+    pair of arrays; a number beside an array broadcasts, each element then
+    being that number's pair with the array's element.  The one gate for a
+    raw pair: check_channel_norm refuses, with ValueError, a pair whose
+    channel norm is zero (both channels vanish), inf (a channel is inf, or
+    finite channels overflow) or NaN; NormalizedAmplitudePair then checks
+    the result.
     """
     if not isinstance(pair.direct, ndarray) and not isinstance(pair.exchange, ndarray):
         number = lambda z: complex(z) if isinstance(z, (complex, np.complexfloating)) else float(z)
@@ -256,7 +257,7 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
         else:
             f_minus = exchange * (direct / lead) / norm
         return NormalizedAmplitudePair(f_plus, f_minus)
-    direct, exchange = np.asarray(pair.direct), np.asarray(pair.exchange)
+    direct, exchange = np.broadcast_arrays(pair.direct, pair.exchange)  # read-only views: never written to
     modulus = lambda z: exact_map(math.hypot, z.real, z.imag) if z.dtype.kind == "c" else np.abs(z)
     lead, tail = modulus(direct), modulus(exchange)
     norm = exact_map(math.hypot, lead, tail)
@@ -307,16 +308,14 @@ def constant_provider(f_plus: float) -> AmplitudeProvider:
     whose Bell combination never crosses the classical border).  Being
     angle-independent it deliberately breaks the exchange relation that
     physical providers obey, except at the symmetric point.  An angle array
-    gives a pair of constant arrays of its shape.
+    is checked like one angle and answered with the same pair of numbers.
     """
     if not 0.0 <= f_plus <= 1.0:
         raise ValueError(f"f_plus must lie in [0, 1], got {f_plus!r}")
     f_minus = math.sqrt(1.0 - f_plus * f_plus)
 
     def provider(theta) -> AmplitudePair:
-        theta = validate_angle(theta)
-        if isinstance(theta, ndarray):
-            return AmplitudePair(np.full(theta.shape, f_plus), np.full(theta.shape, f_minus))
+        validate_angle(theta)
         return AmplitudePair(f_plus, f_minus)
 
     return provider

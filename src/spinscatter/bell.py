@@ -70,9 +70,6 @@ class UnitVector3:
     def dot(self, other: "UnitVector3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 def _angle_between(u: UnitVector3, v: UnitVector3) -> float:
     return math.acos(min(1.0, max(-1.0, u.dot(v))))
@@ -100,7 +97,8 @@ class BellGeometry:
             got = _angle_between(u, v)
             if abs(got - want) > NORM_TOL:
                 raise ValueError(f"angle({label}) must be {want!r}, got {got!r}")
-        triple = float(np.dot(self.a_hat.as_array(), np.cross(self.b_hat.as_array(), self.c_hat.as_array())))
+        a, b, c = self.a_hat, self.b_hat, self.c_hat
+        triple = a.x * (b.y * c.z - b.z * c.y) + a.y * (b.z * c.x - b.x * c.z) + a.z * (b.x * c.y - b.y * c.x)
         if abs(triple) > NORM_TOL:
             raise ValueError(f"directions must be coplanar, got triple product {triple!r}")
 

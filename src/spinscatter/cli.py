@@ -102,8 +102,9 @@ def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: E
     the Slater rank from the weights |f_plus|^2 and |f_minus|^2, F from the
     pair and the exchange sign.  The columns are allocated once; the
     provider is called once per slice of BLOCK_ROWS angles, in grid order,
-    and each slice's values are stored into them, so the temporaries never
-    span the whole grid and a scan holds 49 bytes per angle (five float, one
+    and each slice's values are stored into them (a provider whose
+    amplitudes do not depend on the angle may answer with numbers, stored
+    into every row), so a scan holds 49 bytes per angle (five float, one
     bool and one int column) plus one slice.  Every slice is evaluated and
     checked before this returns.  Returns one numpy array per field, in
     FIELDS order, which render formats.  A table has no column for a phase:

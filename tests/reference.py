@@ -6,8 +6,9 @@ At the exact binary value of a float angle theta, with c = cos theta:
     S    = -(w_+ log2 w_+ + w_- log2 w_-),  w_pm = f_pm^2
     F    = 5/4 + (3/2) sign f_+ f_-,        sign -1 for fermions, +1 for bosons
 
-cos is a Taylor series, the logarithm Decimal.ln and the root Decimal.sqrt, all at DIGITS significant digits; so a
-value here is exact far beyond any float's last bit, and a printed digit can be judged against it.
+cos is a Taylor series, the logarithm Decimal.ln and the root Decimal.sqrt, and pi Machin's formula, all at DIGITS
+significant digits; so a value here is exact far beyond any float's last bit, and a printed digit can be judged against
+it.  The constant:<f_plus> interaction takes the same columns from f_+ = f_plus, f_- = sqrt(1 - f_plus^2).
 """
 
 import math
@@ -29,16 +30,48 @@ def cos(x: Decimal) -> Decimal:
         total += term
 
 
+def arctan_inverse(x: int) -> Decimal:
+    """arctan(1/x) as the sum of (-1)^n / ((2n + 1) x^(2n + 1)), summed until a term no longer moves the total."""
+    total = power = Decimal(1) / x
+    n = 1
+    while True:
+        power /= -x * x
+        term = power / (2 * n + 1)
+        if total + term == total:
+            return total
+        total += term
+        n += 1
+
+
+def pi() -> Decimal:
+    """pi by Machin's formula, pi / 4 = 4 arctan(1/5) - arctan(1/239)."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return 4 * (4 * arctan_inverse(5) - arctan_inverse(239))
+
+
+def columns(f_plus: Decimal, f_minus: Decimal, statistics: str) -> dict:
+    """f_plus, f_minus, entropy and F of a real unit pair with both components nonzero, as Decimals."""
+    entropy = -sum(w * w.ln() for w in (f_plus * f_plus, f_minus * f_minus)) / Decimal(2).ln()
+    F = Decimal("1.25") + Decimal("1.5") * SIGN[statistics] * f_plus * f_minus
+    return {"f_plus": f_plus, "f_minus": f_minus, "entropy": entropy, "F": F}
+
+
 def coulomb(theta: float, statistics: str) -> dict:
     """f_plus, f_minus, entropy and F of the normalized Coulomb pair at the float angle theta, as Decimals."""
     with localcontext() as ctx:
         ctx.prec = DIGITS
         c = cos(Decimal(theta))
         scale = (2 * (1 + c * c)).sqrt()
-        f_plus, f_minus = (1 + c) / scale, (1 - c) / scale
-        entropy = -sum(w * w.ln() for w in (f_plus * f_plus, f_minus * f_minus)) / Decimal(2).ln()
-        F = Decimal("1.25") + Decimal("1.5") * SIGN[statistics] * f_plus * f_minus
-        return {"f_plus": f_plus, "f_minus": f_minus, "entropy": entropy, "F": F}
+        return columns((1 + c) / scale, (1 - c) / scale, statistics)
+
+
+def constant(f_plus: float, statistics: str) -> dict:
+    """The columns of constant:<f_plus>, the same at every angle, as Decimals."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        f_plus = Decimal(f_plus)
+        return columns(f_plus, (1 - f_plus * f_plus).sqrt(), statistics)
 
 
 def correctly_rounded(printed: str, exact: Decimal) -> bool:

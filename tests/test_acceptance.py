@@ -8,8 +8,9 @@ criterion 3 the closed-form entropy eoe_label_fixed(coulomb_f_pm(theta)) and
 the eigenvalue route entropy_of_state both end in shannon_bits, so they
 cannot catch an error in it.  The independent check is
 tests/reference.py, which computes in the decimal module and imports
-nothing from spinscatter; so far tests/test_reference.py holds the
-default scan's printed columns to it.
+nothing from spinscatter.  tests/test_reference.py holds to it the default
+scan's printed columns, the Slater rank on 1e-4...1e-2, both fields of the
+`critical` line, and f_plus and F of the 10k-row JSON scan.
 """
 
 import math

@@ -533,10 +533,14 @@ class TestGridForms:
         ids=["coulomb", "constant-0.6", "constant-0"],
     )
     def test_providers_match_scalar_calls(self, provider):
+        """Coulomb answers a grid element by element; a constant answers it with its one-angle pair of floats."""
         pair = provider(self.GRID)
         for i, theta in enumerate(self.GRID.tolist()):
             one = provider(theta)
-            assert (pair.direct[i], pair.exchange[i]) == (one.direct, one.exchange)
+            if isinstance(pair.direct, np.ndarray):
+                assert (pair.direct[i], pair.exchange[i]) == (one.direct, one.exchange)
+            else:
+                assert pair == one and type(pair.direct) is type(pair.exchange) is float
 
     @pytest.mark.parametrize("bad", [0.0, math.pi, -0.1, 4.0, NAN, INF, -INF])
     @pytest.mark.parametrize("provider", [coulomb_provider(), constant_provider(0.6)], ids=["coulomb", "constant"])
@@ -592,9 +596,13 @@ class TestGridForms:
             assert backward.f_plus[-1 - i] == amps.f_plus and backward.f_minus[-1 - i] == amps.f_minus
             if i:
                 assert shifted.f_plus[i - 1] == amps.f_plus and shifted.f_minus[i - 1] == amps.f_minus
-        phased = lambda thetas: AmplitudePair(np.full(thetas.shape, 0.6), np.full(thetas.shape, 0.8j))
-        with pytest.raises(ValueError, match="real channel amplitudes"):
-            evaluate_grid(np.array([0.5, 1.0]), phased, ExchangeStatistics.FERMION)
+        # The phased pair as constant arrays and as the numbers a provider may answer a grid with: both name 0.5.
+        for phased in (
+            lambda thetas: AmplitudePair(np.full(thetas.shape, 0.6), np.full(thetas.shape, 0.8j)),
+            lambda thetas: AmplitudePair(0.6, 0.8j),
+        ):
+            with pytest.raises(ValueError, match=r"real channel amplitudes; relative phase at theta = 0\.5$"):
+                evaluate_grid(np.array([0.5, 1.0]), phased, ExchangeStatistics.FERMION)
 
     def test_one_angle_gives_python_numbers(self):
         """One angle's pair normalizes to Python numbers, not 0-d arrays."""

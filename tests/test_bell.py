@@ -88,9 +88,8 @@ class TestGeometry:
 
     def test_standard_geometry_is_coplanar(self):
         geo = standard_geometry()
-        triple = np.dot(
-            geo.a_hat.as_array(), np.cross(geo.b_hat.as_array(), geo.c_hat.as_array())
-        )
+        a, b, c = (np.array([v.x, v.y, v.z]) for v in (geo.a_hat, geo.b_hat, geo.c_hat))
+        triple = np.dot(a, np.cross(b, c))
         assert abs(triple) <= 1e-12
 
     def test_rotations_of_the_triple_are_accepted(self):

@@ -171,21 +171,27 @@ class TestScanCommand:
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
     def test_error_in_the_last_slice_comes_before_any_output(self, capsys, tmp_path, monkeypatch, to_file):
         """The provider sees the grid slice by slice, in order; a phase, or a pair that vanishes in both channels, at
-        the last angle fails before output opens."""
+        the last angle fails before output opens.  A phased pair of numbers, the answer for every slice, fails at the
+        first angle."""
         steps = 2 * BLOCK_ROWS + 3
         grid = np.linspace(DEFAULT_THETA_MIN, DEFAULT_THETA_MAX, steps)
-        last = {
-            (1.0, 0.5j): f"tables need real channel amplitudes; relative phase at theta = {float(grid[-1])!r}",
-            (0.0, 0.0): "channel norm hypot(|direct|, |exchange|) must be finite and nonzero, got 0.0",
-        }
+        phased = "tables need real channel amplitudes; relative phase at theta = "
+        at_last = lambda direct, exchange: lambda thetas: AmplitudePair(
+            np.where(thetas == grid[-1], direct, 1.0), np.where(thetas == grid[-1], exchange, 1.0)
+        )
+        cases = [
+            (at_last(1.0, 0.5j), f"{phased}{float(grid[-1])!r}", [BLOCK_ROWS, BLOCK_ROWS, 3]),
+            (at_last(0.0, 0.0), "channel norm hypot(|direct|, |exchange|) must be finite and nonzero, got 0.0",
+             [BLOCK_ROWS, BLOCK_ROWS, 3]),
+            (lambda thetas: AmplitudePair(0.6, 0.8j), f"{phased}{float(grid[0])!r}", [BLOCK_ROWS]),
+        ]
         monkeypatch.chdir(tmp_path)
-        for (direct, exchange), message in last.items():
+        for answer, message, lengths in cases:
             slices = []
 
-            def provider(thetas):
+            def provider(thetas, answer=answer):
                 slices.append(thetas.copy())
-                at_last = thetas == grid[-1]
-                return AmplitudePair(np.where(at_last, direct, 1.0), np.where(at_last, exchange, 1.0))
+                return answer(thetas)
 
             monkeypatch.setattr(cli, "parse_interaction", lambda text: provider)
             code, out, err = run(capsys, "scan", "--steps", str(steps), *(("--output", "t.csv") if to_file else ()))
@@ -193,8 +199,8 @@ class TestScanCommand:
             assert out == ""
             assert not any(tmp_path.iterdir())
             assert err == f"error: {message}\n"
-            assert [len(angles) for angles in slices] == [BLOCK_ROWS, BLOCK_ROWS, 3]
-            assert np.concatenate(slices).tolist() == grid.tolist()
+            assert [len(angles) for angles in slices] == lengths
+            assert np.concatenate(slices).tolist() == grid[: sum(lengths)].tolist()
 
     def test_constant_interaction(self, capsys):
         code, out, _ = run(capsys, "scan", "--steps", "3", "--interaction", "constant:0.6")
@@ -500,12 +506,16 @@ class TestInternals:
         So a row holds eoe_label_fixed and slater_rank of its pair: 1.57e-22 bits here, where (Re f_minus)^2 gave half.
         """
         exchange = 1e-12 + 1e-12j
-        provider = lambda thetas: AmplitudePair(np.ones(thetas.shape), np.full(thetas.shape, exchange))
         amps = normalize(AmplitudePair(1.0, exchange))
-        for row in rows_of(evaluate_grid(np.array([0.5, 1.0]), provider, ExchangeStatistics.FERMION)):
-            assert row[1:3] == (amps.f_plus, amps.f_minus.real)
-            assert row[3] == eoe_label_fixed([amps.f_plus, amps.f_minus])
-            assert row[6] == slater_rank(slater_decomposition(amps))
+        # The pair as constant arrays over the grid, and as the numbers a provider may answer a grid with.
+        for provider in (
+            lambda thetas: AmplitudePair(np.ones(thetas.shape), np.full(thetas.shape, exchange)),
+            lambda thetas: AmplitudePair(1.0, exchange),
+        ):
+            for row in rows_of(evaluate_grid(np.array([0.5, 1.0]), provider, ExchangeStatistics.FERMION)):
+                assert row[1:3] == (amps.f_plus, amps.f_minus.real)
+                assert row[3] == eoe_label_fixed([amps.f_plus, amps.f_minus])
+                assert row[6] == slater_rank(slater_decomposition(amps))
 
     @pytest.mark.parametrize("interaction", ["coulomb", "constant:0.6"])
     def test_rows_do_not_depend_on_numpy_ufuncs(self, monkeypatch, interaction):

@@ -140,11 +140,17 @@ def angle_grids(draw):
     return np.array(sorted(thetas))
 
 
-def round_off_phase_provider(theta):
-    """Direct 1, exchange 1e-12 + 1e-12j at every angle: a relative phase within NORM_TOL, which tables accept."""
-    if isinstance(theta, np.ndarray):
-        return AmplitudePair(np.ones(theta.shape), np.full(theta.shape, 1e-12 + 1e-12j))
-    return AmplitudePair(1.0, 1e-12 + 1e-12j)
+ROUND_OFF_PHASE = 1e-12 + 1e-12j
+# Direct 1, exchange 1e-12 + 1e-12j at every angle: a relative phase within NORM_TOL, which tables accept.  A grid gets
+# the pair as constant arrays, or as the numbers that an angle-independent provider may answer it with.
+round_off_phase_providers = {
+    "round-off-phase-arrays": lambda theta: (
+        AmplitudePair(np.ones(theta.shape), np.full(theta.shape, ROUND_OFF_PHASE))
+        if isinstance(theta, np.ndarray)
+        else AmplitudePair(1.0, ROUND_OFF_PHASE)
+    ),
+    "round-off-phase-numbers": lambda theta: AmplitudePair(1.0, ROUND_OFF_PHASE),
+}
 
 
 def phased_pair(phi, psi):
@@ -193,10 +199,14 @@ def test_grid_matches_scalar_reference(grid, steps, f_plus, name):
 
 
 @settings(max_examples=80, deadline=None)
-@given(thetas=angle_grids(), interaction=st.one_of(interactions, st.just("round-off-phase")), name=statistics_names)
+@given(
+    thetas=angle_grids(),
+    interaction=st.one_of(interactions, st.sampled_from(sorted(round_off_phase_providers))),
+    name=statistics_names,
+)
 def test_random_grid_rows_match_one_angle_rows(thetas, interaction, name):
     """Every row equals its one-angle row wherever the angle sits: on the grid, shifted by one and reversed."""
-    provider = round_off_phase_provider if interaction == "round-off-phase" else parse_interaction(interaction)
+    provider = round_off_phase_providers.get(interaction) or parse_interaction(interaction)
     statistics = STATISTICS[name]
     want = [scalar_row(theta, provider, statistics) for theta in thetas.tolist()]
     assert rows_of(evaluate_grid(thetas, provider, statistics)) == want
@@ -250,21 +260,29 @@ def float_bits(x):
 def test_one_pair_matches_its_one_element_grid(direct, exchange):
     """normalize of one pair raises ValueError exactly when its one-element arrays do; else it is bit for bit theirs.
 
-    The arrays are built per channel, as critical_angle's bracket builds them.  AmplitudePair is a plain record, so
-    normalize meets every pair, those with a zero, inf or NaN channel norm too; no exception but ValueError may escape.
+    The arrays are built per channel, as critical_angle's bracket builds them.  So is a grid that holds one channel as
+    a number beside a two-element array of the other: normalize broadcasts the number, and each element is bit for bit
+    the one pair.  AmplitudePair is a plain record, so normalize meets every pair, those with a zero, inf or NaN
+    channel norm too; no exception but ValueError may escape.
     """
     outcomes = []
-    for d, e in ((direct, exchange), (np.array([direct]), np.array([exchange]))):
+    for d, e in (
+        (direct, exchange),
+        (np.array([direct]), np.array([exchange])),
+        (direct, np.array([exchange, exchange])),
+        (np.array([direct, direct]), exchange),
+    ):
         try:
             outcomes.append(normalize(AmplitudePair(d, e)))
         except ValueError:
             outcomes.append(None)
-    one, grid = outcomes
-    assert (one is None) == (grid is None)
+    one, *grids = outcomes
+    assert all((one is None) == (grid is None) for grid in grids)
     if one is not None:
         assert type(one.f_plus) is float and type(one.f_minus) in (float, complex)
-        want = (grid.f_plus.tolist()[0], grid.f_minus.tolist()[0])
-        assert [float_bits(x) for x in (one.f_plus, one.f_minus)] == [float_bits(x) for x in want]
+        for grid in grids:
+            for want in zip(grid.f_plus.tolist(), grid.f_minus.tolist()):
+                assert [float_bits(x) for x in (one.f_plus, one.f_minus)] == [float_bits(x) for x in want]
 
 
 @settings(max_examples=150, deadline=None)
@@ -275,7 +293,8 @@ def test_closed_form_matches_oracle_under_rotation(phi, psi, rotation):
     state = outgoing_state(amps, ExchangeStatistics.FERMION)
     standard = standard_geometry()
     geo = BellGeometry(*(
-        UnitVector3(*(rotation @ v.as_array()).tolist()) for v in (standard.a_hat, standard.b_hat, standard.c_hat)
+        UnitVector3(*(rotation @ np.array([v.x, v.y, v.z])).tolist())
+        for v in (standard.a_hat, standard.b_hat, standard.c_hat)
     ))
     for u, v in ((geo.a_hat, geo.b_hat), (geo.a_hat, geo.c_hat), (geo.b_hat, geo.c_hat), (geo.c_hat, geo.a_hat)):
         assert correlator_closed_form(u, v, amps) == pytest.approx(correlator_oracle(state, u, v), abs=1e-12)
