@@ -13,6 +13,9 @@ same_as_module() {
 }
 same_as_module critical
 same_as_module critical --interaction constant:0.6
+# The edge pairs where one channel vanishes: critical's bracket gets one pair of numbers for the whole angle grid.
+same_as_module critical --interaction constant:0
+same_as_module critical --interaction constant:1
 # constant:<f_plus> answers an angle grid with one pair of numbers, which the grid path broadcasts.
 same_as_module scan --interaction constant:0.6 --format json
 same_as_module scan --interaction constant:0 --statistics boson

@@ -187,10 +187,23 @@ class NormalizedAmplitudePair:
 
 # An interaction model: maps a scattering angle onto the raw channel pair.  Physically consistent providers satisfy the
 # exchange relation provider(pi - theta) == (exchange, direct) of provider(theta), i.e. the exchange channel is the
-# direct channel at the supplementary angle.  The built-in providers also take an angle array, and may answer it with
-# numbers where the amplitudes do not depend on the angle; a user provider need only take one angle, which is all
-# critical_angle passes.
+# direct channel at the supplementary angle.  A provider need only take one angle.  One may also have a grid form, its
+# `grid` attribute: a callable that takes an angle array and answers it with channel arrays, or with numbers where the
+# amplitudes do not depend on the angle.  The built-in providers are their own grid form; raw_grid uses it.
 AmplitudeProvider = Callable[[float], AmplitudePair]
+
+
+def raw_grid(provider: AmplitudeProvider, thetas: ndarray) -> AmplitudePair:
+    """The provider's raw pair over an angle grid, for normalize: the one way to fetch a grid.
+
+    One call of the provider's grid form where it has one; otherwise one call per angle, each with a Python float, and
+    each channel stacked into an array of the grid's shape.  Through either route a grid element equals its one-angle
+    pair, for the built-in providers bit for bit.
+    """
+    if (grid := getattr(provider, "grid", None)) is not None:
+        return grid(thetas)
+    pairs = list(map(provider, thetas.tolist()))
+    return AmplitudePair(np.array([p.direct for p in pairs]), np.array([p.exchange for p in pairs]))
 
 
 def coulomb_amplitudes(theta, kin: Kinematics) -> AmplitudePair:
@@ -293,11 +306,12 @@ DEFAULT_KINEMATICS = Kinematics(m=1.0, E=2.0)
 
 
 def coulomb_provider(kin: Kinematics = DEFAULT_KINEMATICS) -> AmplitudeProvider:
-    """Amplitude provider for the lowest-order Coulomb interaction."""
+    """Amplitude provider for the lowest-order Coulomb interaction; its own grid form, giving arrays for an array."""
 
     def provider(theta) -> AmplitudePair:
         return coulomb_amplitudes(theta, kin)
 
+    provider.grid = provider
     return provider
 
 
@@ -307,8 +321,9 @@ def constant_provider(f_plus: float) -> AmplitudeProvider:
     Useful for exercising consumers on a fixed amplitude pair (e.g. one
     whose Bell combination never crosses the classical border).  Being
     angle-independent it deliberately breaks the exchange relation that
-    physical providers obey, except at the symmetric point.  An angle array
-    is checked like one angle and answered with the same pair of numbers.
+    physical providers obey, except at the symmetric point.  It is its own
+    grid form: an angle array is checked like one angle and answered with
+    the same pair of numbers.
     """
     if not 0.0 <= f_plus <= 1.0:
         raise ValueError(f"f_plus must lie in [0, 1], got {f_plus!r}")
@@ -318,4 +333,5 @@ def constant_provider(f_plus: float) -> AmplitudeProvider:
         validate_angle(theta)
         return AmplitudePair(f_plus, f_minus)
 
+    provider.grid = provider
     return provider

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .amplitudes import NORM_TOL, AmplitudePair, AmplitudeProvider, NormalizedAmplitudePair, check_unit_norm, normalize
+from .amplitudes import NORM_TOL, AmplitudeProvider, NormalizedAmplitudePair, check_unit_norm, normalize, raw_grid
 from .spin_states import ExchangeStatistics, TwoSpinState
 
 _ANGLE_AB = math.pi / 3
@@ -171,29 +171,29 @@ def bell_F(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = Excha
 def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[float]:
     """Smallest angle in (0, pi/2] where the provider's fermion F(theta) crosses 1.
 
-    F comes from normalize and bell_F, with one provider call per angle
-    (a Python float): on a 1024-angle grid that brackets the first sign
-    change of F - 1 (robust against non-monotone providers), then on one
-    angle per bisection step, until the bracket's half-width drops below
-    tol or no float lies strictly inside it.  The bracket is one grid with
-    one array per channel; a step normalizes its pair in Python floats, bit
-    for bit as in a grid.  None when F - 1 keeps one sign over the range.
+    F comes from normalize and bell_F: on a 1024-angle grid, fetched by
+    raw_grid (one call of the provider's grid form, such as a built-in
+    provider's, else one call per angle), that brackets the first sign change
+    of F - 1 (robust against non-monotone providers), then on one angle per
+    bisection step (a Python float), until the bracket's half-width drops
+    below tol or no float lies strictly inside it.  A step normalizes its
+    pair in Python floats, bit for bit as in a grid, so both routes find the
+    same root.  None when F - 1 keeps one sign over the range.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    thetas = np.linspace(_BRACKET_LO, math.pi / 2.0, _SCAN_POINTS).tolist()
-    pairs = list(map(provider, thetas))
-    direct, exchange = np.array([p.direct for p in pairs]), np.array([p.exchange for p in pairs])
-    values = bell_F(normalize(AmplitudePair(direct, exchange))) - 1.0
+    thetas = np.linspace(_BRACKET_LO, math.pi / 2.0, _SCAN_POINTS)
+    # A grid answered with numbers gives one F - 1, which holds at every angle.
+    values = np.broadcast_to(bell_F(normalize(raw_grid(provider, thetas))) - 1.0, thetas.shape)
     # The first angle where F - 1 is 0 or has the other sign at the next angle.
     hits = np.flatnonzero((values == 0.0) | np.append(np.diff(values < 0.0), False))
     if hits.size == 0:
         return None
     i = int(hits[0])
     if values[i] == 0.0:
-        return thetas[i]
-    lo, f_lo, hi = thetas[i], values[i], thetas[i + 1]
+        return thetas[i].item()
+    lo, f_lo, hi = thetas[i].item(), values[i], thetas[i + 1].item()
 
     while 0.5 * (hi - lo) > tol:
         mid = 0.5 * (lo + hi)

@@ -34,7 +34,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .amplitudes import NORM_TOL, AmplitudeProvider, constant_provider, coulomb_provider, first_failure
-from .amplitudes import normalize
+from .amplitudes import normalize, raw_grid
 from .bell import bell_F, critical_angle
 from .entanglement import shannon_bits
 from .spin_states import ExchangeStatistics, rank_of_weights
@@ -100,23 +100,25 @@ def evaluate_grid(thetas: np.ndarray, provider: AmplitudeProvider, statistics: E
     The outgoing state f_plus |ud> + sign f_minus |du> is already in Schmidt
     form, so every column follows from the normalized pair: the entropy and
     the Slater rank from the weights |f_plus|^2 and |f_minus|^2, F from the
-    pair and the exchange sign.  The columns are allocated once; the
-    provider is called once per slice of BLOCK_ROWS angles, in grid order,
-    and each slice's values are stored into them (a provider whose
-    amplitudes do not depend on the angle may answer with numbers, stored
-    into every row), so a scan holds 49 bytes per angle (five float, one
-    bool and one int column) plus one slice.  Every slice is evaluated and
-    checked before this returns.  Returns one numpy array per field, in
-    FIELDS order, which render formats.  A table has no column for a phase:
-    a relative phase above NORM_TOL raises ValueError naming the first such
-    angle (normalize drops a common phase).
+    pair and the exchange sign.  The columns are allocated once; raw_grid
+    fetches the raw pairs a slice of BLOCK_ROWS angles at a time, in grid
+    order (one call of the provider's grid form per slice, such as a
+    built-in provider's, else one call per angle), and each slice's values
+    are stored into them (a grid form whose amplitudes do not depend on the
+    angle may answer with numbers, stored into every row), so a scan holds
+    49 bytes per angle (five float, one bool and one int column) plus one
+    slice.  Every slice is evaluated and checked before this returns.
+    Returns one numpy array per field, in FIELDS order, which render
+    formats.  A table has no column for a phase: a relative phase above
+    NORM_TOL raises ValueError naming the first such angle (normalize drops
+    a common phase).
     """
     n = len(thetas)
     columns = (thetas, *(np.empty(n) for _ in range(4)), np.empty(n, bool), np.empty(n, int))
     for start in range(0, n, BLOCK_ROWS):
         part = slice(start, start + BLOCK_ROWS)
         angles = thetas[part]
-        amps = normalize(provider(angles))
+        amps = normalize(raw_grid(provider, angles))
         if (phased := first_failure(abs(np.imag(amps.f_minus)) <= NORM_TOL, angles)) is not None:
             raise ValueError(f"tables need real channel amplitudes; relative phase at theta = {phased!r}")
         w = amps.weights

@@ -27,6 +27,8 @@ from spinscatter.cli import evaluate_grid
 from spinscatter.entanglement import eoe_label_fixed
 from spinscatter.spin_states import ExchangeStatistics, SlaterDecomposition, TwoSpinState
 
+from providers import grid_form
+
 MASSLESS = Kinematics(m=0.0, E=1.0)
 NAN = float("nan")
 INF = float("inf")
@@ -278,7 +280,7 @@ class TestNormalize:
         pair whose direct channel vanishes.
         """
         phase = complex(math.cos(0.3), math.sin(0.3))
-        provider = lambda t: AmplitudePair(phase * np.cos(t / 2), phase * np.sin(t / 2))
+        provider = grid_form(lambda t: AmplitudePair(phase * np.cos(t / 2), phase * np.sin(t / 2)))
         grid = np.linspace(0.01, math.pi / 2, 200)
 
         def results():
@@ -598,8 +600,8 @@ class TestGridForms:
                 assert shifted.f_plus[i - 1] == amps.f_plus and shifted.f_minus[i - 1] == amps.f_minus
         # The phased pair as constant arrays and as the numbers a provider may answer a grid with: both name 0.5.
         for phased in (
-            lambda thetas: AmplitudePair(np.full(thetas.shape, 0.6), np.full(thetas.shape, 0.8j)),
-            lambda thetas: AmplitudePair(0.6, 0.8j),
+            grid_form(lambda thetas: AmplitudePair(np.full(thetas.shape, 0.6), np.full(thetas.shape, 0.8j))),
+            grid_form(lambda thetas: AmplitudePair(0.6, 0.8j)),
         ):
             with pytest.raises(ValueError, match=r"real channel amplitudes; relative phase at theta = 0\.5$"):
                 evaluate_grid(np.array([0.5, 1.0]), phased, ExchangeStatistics.FERMION)

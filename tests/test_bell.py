@@ -7,11 +7,13 @@ import pytest
 
 from spinscatter.amplitudes import (
     AmplitudePair,
+    Kinematics,
     NormalizedAmplitudePair,
     constant_provider,
     coulomb_f_pm,
     coulomb_provider,
     normalize,
+    raw_grid,
 )
 from spinscatter.bell import (
     _BRACKET_LO,
@@ -26,6 +28,8 @@ from spinscatter.bell import (
 )
 from spinscatter.cli import evaluate_grid
 from spinscatter.spin_states import ExchangeStatistics, TwoSpinState, outgoing_state
+
+from providers import grid_form
 
 # Frozen before implementation by two independent evaluation routes.
 F_PI_8 = 1.1907435698305462
@@ -306,6 +310,73 @@ class TestCriticalAngle:
 
         critical_angle(recording, tol=tol)
         assert seen == [float] * calls
+
+    @pytest.mark.parametrize(
+        "provider, tol, steps",
+        [
+            (coulomb_provider(), 1e-10, 23),
+            (coulomb_provider(), 1e-12, 30),
+            (coulomb_provider(), 5e-324, 39),
+            (constant_provider(0.6), 1e-10, 0),
+        ],
+        ids=["coulomb", "coulomb-1e-12", "coulomb-5e-324", "constant-0.6"],
+    )
+    def test_grid_form_traffic(self, provider, tol, steps):
+        """Through a grid form: one call with the 1024 bracket angles, then one Python float per bisection step."""
+        seen = []
+
+        @grid_form
+        def recording(theta):
+            seen.append(theta.shape if isinstance(theta, np.ndarray) else type(theta))
+            return provider(theta)
+
+        critical_angle(recording, tol=tol)
+        assert seen == [(_SCAN_POINTS,)] + [float] * steps
+
+    @pytest.mark.parametrize(
+        "provider",
+        [
+            coulomb_provider(),
+            coulomb_provider(Kinematics(m=0.0, E=1.0)),
+            coulomb_provider(Kinematics(m=1.0, E=1e3, charge_factor=3.0)),
+            constant_provider(0.6),
+            constant_provider(0.0),
+            constant_provider(1.0),
+        ],
+        ids=["coulomb", "coulomb-massless", "coulomb-fast", "constant-0.6", "constant-0", "constant-1"],
+    )
+    def test_grid_form_matches_the_one_angle_route(self, provider):
+        """The bracket's F - 1 through the grid form equals, bit for bit at all 1024 angles, that through one call per
+        angle and that of each angle alone; critical_angle returns the same root through either route."""
+        one_angle = lambda theta: provider(theta)
+        thetas = np.linspace(_BRACKET_LO, math.pi / 2, _SCAN_POINTS)
+        grid, fallback = (
+            np.broadcast_to(bell_F(normalize(raw_grid(p, thetas))) - 1.0, thetas.shape) for p in (provider, one_angle)
+        )
+        alone = np.array([bell_F(normalize(provider(theta))) - 1.0 for theta in thetas.tolist()])
+        assert grid.tobytes() == fallback.tobytes() == alone.tobytes()
+        for tol in (1e-6, 1e-10, 5e-324):
+            assert critical_angle(provider, tol=tol) == critical_angle(one_angle, tol=tol)
+
+    def test_exact_zero_answered_for_the_whole_grid_is_the_root(self):
+        """A grid form answering the bracket with the one pair where F - 1 is exactly 0.0 gives the first angle.
+
+        The bracket's F - 1 is then one number, broadcast over the grid, and the root is thetas[0] as through one call
+        per angle.
+        """
+        phi = 0.16991845472706094
+        on_root = AmplitudePair(math.cos(phi), math.sin(phi))
+        thetas = np.linspace(_BRACKET_LO, math.pi / 2, _SCAN_POINTS).tolist()
+        seen = []
+
+        @grid_form
+        def provider(theta):
+            seen.append(theta)
+            return on_root
+
+        assert critical_angle(provider) == thetas[0]
+        assert len(seen) == 1 and seen[0].tolist() == thetas
+        assert critical_angle(lambda theta: on_root) == thetas[0]
 
     def test_exact_zero_on_the_bracket_grid_is_the_root(self):
         """Where F - 1 is exactly 0.0 at a bracket angle, that angle is the root, with no bisection step.

@@ -36,6 +36,8 @@ from spinscatter.cli import (
 from spinscatter.entanglement import eoe_label_fixed
 from spinscatter.spin_states import ExchangeStatistics, outgoing_state, slater_decomposition, slater_rank
 
+from providers import grid_form
+
 
 def rows_of(columns):
     """The rows of evaluated columns: tuples of Python values in FIELDS order, as render reads them."""
@@ -189,6 +191,7 @@ class TestScanCommand:
         for answer, message, lengths in cases:
             slices = []
 
+            @grid_form
             def provider(thetas, answer=answer):
                 slices.append(thetas.copy())
                 return answer(thetas)
@@ -290,6 +293,22 @@ class TestCriticalCommand:
         code, _, _ = run(capsys, "critical")
         assert code == 0
         assert seen == [float] * 1063
+
+    def test_bisects_through_the_grid_form(self, capsys, monkeypatch):
+        """A provider with a grid form gets the bracket in one call, then 39 floats, and prints the same line."""
+        provider = coulomb_provider()
+        seen = []
+
+        @grid_form
+        def recording(theta):
+            seen.append(theta.shape if isinstance(theta, np.ndarray) else type(theta))
+            return provider(theta)
+
+        monkeypatch.setattr(cli, "parse_interaction", lambda text: recording)
+        code, out, _ = run(capsys, "critical")
+        assert code == 0
+        assert out == "theta_c = 0.785398163397 rad (45.000000000000 deg)\n"
+        assert seen == [(1024,)] + [float] * 39
 
 
 _RANGE = "error: scan range must satisfy 0 < theta-min < theta-max <= pi/2\n"
@@ -492,8 +511,8 @@ class TestInternals:
         """A phase common to both channels drops out of every column."""
         grid = np.array([0.3, 1.0, 1.5])
         phase = complex(math.cos(0.3), math.sin(0.3))
-        real = lambda thetas: AmplitudePair(np.cos(thetas / 2), np.sin(thetas / 2))
-        phased = lambda thetas: AmplitudePair(phase * np.cos(thetas / 2), phase * np.sin(thetas / 2))
+        real = grid_form(lambda thetas: AmplitudePair(np.cos(thetas / 2), np.sin(thetas / 2)))
+        phased = grid_form(lambda thetas: AmplitudePair(phase * np.cos(thetas / 2), phase * np.sin(thetas / 2)))
         rows = [rows_of(evaluate_grid(grid, provider, ExchangeStatistics.FERMION)) for provider in (real, phased)]
         for want, got in zip(*rows):
             assert [type(v) for v in got] == [float] * 5 + [bool, int]
@@ -509,8 +528,8 @@ class TestInternals:
         amps = normalize(AmplitudePair(1.0, exchange))
         # The pair as constant arrays over the grid, and as the numbers a provider may answer a grid with.
         for provider in (
-            lambda thetas: AmplitudePair(np.ones(thetas.shape), np.full(thetas.shape, exchange)),
-            lambda thetas: AmplitudePair(1.0, exchange),
+            grid_form(lambda thetas: AmplitudePair(np.ones(thetas.shape), np.full(thetas.shape, exchange))),
+            grid_form(lambda thetas: AmplitudePair(1.0, exchange)),
         ):
             for row in rows_of(evaluate_grid(np.array([0.5, 1.0]), provider, ExchangeStatistics.FERMION)):
                 assert row[1:3] == (amps.f_plus, amps.f_minus.real)

@@ -44,6 +44,8 @@ from spinscatter.spin_states import (  # noqa: E402
     slater_rank,
 )
 
+from providers import grid_form  # noqa: E402
+
 HALF_PI = math.pi / 2.0
 STATISTICS = {"fermion": ExchangeStatistics.FERMION, "boson": ExchangeStatistics.BOSON}
 
@@ -142,15 +144,22 @@ def angle_grids(draw):
 
 ROUND_OFF_PHASE = 1e-12 + 1e-12j
 # Direct 1, exchange 1e-12 + 1e-12j at every angle: a relative phase within NORM_TOL, which tables accept.  A grid gets
-# the pair as constant arrays, or as the numbers that an angle-independent provider may answer it with.
+# the pair from the grid form as constant arrays, or as the numbers that an angle-independent provider may answer it
+# with.
 round_off_phase_providers = {
-    "round-off-phase-arrays": lambda theta: (
+    "round-off-phase-arrays": grid_form(lambda theta: (
         AmplitudePair(np.ones(theta.shape), np.full(theta.shape, ROUND_OFF_PHASE))
         if isinstance(theta, np.ndarray)
         else AmplitudePair(1.0, ROUND_OFF_PHASE)
-    ),
-    "round-off-phase-numbers": lambda theta: AmplitudePair(1.0, ROUND_OFF_PHASE),
+    )),
+    "round-off-phase-numbers": grid_form(lambda theta: AmplitudePair(1.0, ROUND_OFF_PHASE)),
 }
+
+
+def screened(theta):
+    """The README's user provider, which takes one angle and has no grid form."""
+    c = math.cos(theta)
+    return AmplitudePair(1.0 / (1.1 - c), 1.0 / (1.1 + c))
 
 
 def phased_pair(phi, psi):
@@ -212,6 +221,23 @@ def test_random_grid_rows_match_one_angle_rows(thetas, interaction, name):
     assert rows_of(evaluate_grid(thetas, provider, statistics)) == want
     assert rows_of(evaluate_grid(thetas[1:], provider, statistics)) == want[1:]
     assert rows_of(evaluate_grid(thetas[::-1], provider, statistics)) == want[::-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(thetas=angle_grids(), name=statistics_names)
+def test_one_angle_provider_rows_match_one_angle_rows(thetas, name):
+    """evaluate_grid takes a provider that takes one angle, calling it with each angle as a Python float: every row
+    equals the provider's one-angle row."""
+    statistics = STATISTICS[name]
+    seen = []
+
+    def recording(theta):
+        seen.append(theta)
+        return screened(theta)
+
+    want = [scalar_row(theta, screened, statistics) for theta in thetas.tolist()]
+    assert rows_of(evaluate_grid(thetas, recording, statistics)) == want
+    assert seen == thetas.tolist() and {type(theta) for theta in seen} == {float}
 
 
 @settings(max_examples=80, deadline=None)
