@@ -31,17 +31,26 @@ from numpy import ndarray
 
 # Shared tolerance for "is this normalized / real" checks on constructed values.
 NORM_TOL = 1e-12
+# The channel types that normalize of one pair takes as complex; any other number it takes as a float.
+_COMPLEX = (complex, np.complexfloating)
 
 
 def exact_map(fn, *arrays) -> ndarray:
     """fn, a float function from math, mapped over equal-shape arrays in one pass; a float array of their shape.
 
     Not numpy's cos, hypot or log2 ufuncs, which may round an element unlike math (as one-angle calls use it) and unlike
-    another numpy build or CPU: so a grid element equals its one-angle result by construction.  The arrays are turned
-    into Python floats whole; no caller in the package passes more than one slice: cli's evaluate_grid one slice of a
-    scan, critical_angle its 1024-angle bracket, shannon_bits one weight of such a slice at a time.
+    another numpy build or CPU: so a grid element equals its one-angle result by construction.  fn reads a real array
+    (bool, int or float) from its float64 buffer, a copy where it is not contiguous or float64: element for element the
+    float that fn would make of its Python number.  Any other array, complex or object, is turned into Python numbers
+    whole, and fn takes or refuses them itself.  No caller in the package passes more than one slice: cli's
+    evaluate_grid one slice of a scan, critical_angle its 1024-angle bracket, shannon_bits one weight of such a slice at
+    a time.
     """
-    return np.fromiter(map(fn, *(a.ravel().tolist() for a in arrays)), float, arrays[0].size).reshape(arrays[0].shape)
+    floats = (
+        memoryview(np.ascontiguousarray(a, float).ravel()) if a.dtype.kind in "biuf" else a.ravel().tolist()
+        for a in arrays
+    )
+    return np.fromiter(map(fn, *floats), float, arrays[0].size).reshape(arrays[0].shape)
 
 
 def first_failure(ok, values):
@@ -72,15 +81,20 @@ def unit_weights(coeffs, what: str) -> list:
 
     The package's one weight rule: the norm checks of pairs, states and decompositions, the entropy and the Slater rank
     all take their |c|^2 here.  Squared parts, not abs, whose numpy and Python forms can differ in the last bit: so grid
-    and one-angle bits agree.
+    and one-angle bits agree.  A real c, a float or a real array, is squared as it is: a square is never -0.0, so adding
+    the +0.0 of its imaginary part would change no bit.
     """
     if isinstance(coeffs[0], ndarray):
         with np.errstate(over="ignore"):  # a huge component squares to inf, which fails the check
-            weights = [c.real * c.real + c.imag * c.imag for c in coeffs]
+            weights = [c.real * c.real + c.imag * c.imag if np.iscomplexobj(c) else c * c for c in coeffs]
     else:  # Python numbers square to inf without a warning
-        weights = [c.real * c.real + c.imag * c.imag for c in map(complex, coeffs)]
+        weights = [c * c if type(c) is float else _modulus_sq(complex(c)) for c in coeffs]
     check_unit_norm(sum(weights), what)
     return weights
+
+
+def _modulus_sq(z: complex) -> float:
+    return z.real * z.real + z.imag * z.imag
 
 
 def validate_angle(theta):
@@ -141,11 +155,12 @@ class Kinematics:
         return 2.0 * (self.m * self.m - self.E * self.E)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AmplitudePair:
     """Raw (unnormalized) amplitudes of the direct and exchange channels.
 
-    A plain record: normalize decides whether a pair can be normalized.  On
+    A plain record, slotted, mutable and so unhashable: it holds no
+    invariant, and normalize decides whether a pair can be normalized.  On
     an angle grid a channel is an array of its shape, or a number where it
     does not depend on the angle; normalize broadcasts the two.
     """
@@ -163,26 +178,30 @@ class NormalizedAmplitudePair:
     two components is physical; fixing the global phase this way makes
     equal states compare equal.  For an angle grid both components are
     equal-shape arrays, and every element must pass both checks.
+
+    weights, [|f_plus|^2, |f_minus|^2] as numbers or arrays like the
+    components, is computed and checked once here, and read by the entropy
+    and rank columns.  It is an attribute, not a field: repr, equality and
+    dataclasses.astuple are those of (f_plus, f_minus).
     """
 
     f_plus: complex
     f_minus: complex
 
     def __post_init__(self) -> None:
-        self.weights  # computed and checked here, read by the entropy and rank columns
-        if isinstance(self.f_plus, ndarray):
-            anchor = np.where(self.f_plus == 0, self.f_minus, self.f_plus)
-            unfixed = ((abs(anchor.imag) > NORM_TOL) | (anchor.real < 0.0)).any()
+        f_plus, f_minus = self.f_plus, self.f_minus
+        object.__setattr__(self, "weights", unit_weights((f_plus, f_minus), "|f_plus|^2 + |f_minus|^2"))
+        if isinstance(f_plus, ndarray):
+            anchor = np.where(f_plus == 0, f_minus, f_plus)
+            if np.iscomplexobj(anchor):
+                unfixed = ((abs(anchor.imag) > NORM_TOL) | (anchor.real < 0.0)).any()
+            else:  # a real array's .imag is zeros
+                unfixed = (anchor < 0.0).any()
         else:
-            anchor = self.f_minus if self.f_plus == 0 else self.f_plus
+            anchor = f_minus if f_plus == 0 else f_plus
             unfixed = abs(anchor.imag) > NORM_TOL or anchor.real < 0.0
         if unfixed:
             raise ValueError("global phase not fixed: leading amplitude must be real and >= 0")
-
-    @cached_property
-    def weights(self) -> list:
-        """[|f_plus|^2, |f_minus|^2], numbers or arrays like the components; unit_weights checks their sum."""
-        return unit_weights((self.f_plus, self.f_minus), "|f_plus|^2 + |f_minus|^2")
 
 
 # An interaction model: maps a scattering angle onto the raw channel pair.  Physically consistent providers satisfy the
@@ -254,11 +273,15 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
     finite channels overflow) or NaN; NormalizedAmplitudePair then checks
     the result.
     """
-    if not isinstance(pair.direct, ndarray) and not isinstance(pair.exchange, ndarray):
-        number = lambda z: complex(z) if isinstance(z, (complex, np.complexfloating)) else float(z)
-        direct, exchange = number(pair.direct), number(pair.exchange)
+    direct, exchange = pair.direct, pair.exchange
+    if not isinstance(direct, ndarray) and not isinstance(exchange, ndarray):
+        if type(direct) is not float:  # float() of a float is the float itself
+            direct = complex(direct) if isinstance(direct, _COMPLEX) else float(direct)
+        if type(exchange) is not float:
+            exchange = complex(exchange) if isinstance(exchange, _COMPLEX) else float(exchange)
         phased = type(direct) is complex or type(exchange) is complex
-        lead, tail = (math.hypot(z.real, z.imag) if type(z) is complex else abs(z) for z in (direct, exchange))
+        lead = math.hypot(direct.real, direct.imag) if type(direct) is complex else abs(direct)
+        tail = math.hypot(exchange.real, exchange.imag) if type(exchange) is complex else abs(exchange)
         norm = math.hypot(lead, tail)
         check_channel_norm(norm)
         f_plus = lead / norm
@@ -270,7 +293,7 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
         else:
             f_minus = exchange * (direct / lead) / norm
         return NormalizedAmplitudePair(f_plus, f_minus)
-    direct, exchange = np.broadcast_arrays(pair.direct, pair.exchange)  # read-only views: never written to
+    direct, exchange = np.broadcast_arrays(direct, exchange)  # read-only views: never written to
     modulus = lambda z: exact_map(math.hypot, z.real, z.imag) if z.dtype.kind == "c" else np.abs(z)
     lead, tail = modulus(direct), modulus(exchange)
     norm = exact_map(math.hypot, lead, tail)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,19 +63,17 @@ class SlaterDecomposition:
     """Coefficients over the two opposite-spin mode determinants.
 
     c_s multiplies the determinant with spin up in the detected slot,
-    c_minus_s the one with spin down there.
+    c_minus_s the one with spin down there.  weights, [|c_s|^2,
+    |c_minus_s|^2], is computed and checked once here and read by
+    slater_rank; like NormalizedAmplitudePair's, it is an attribute, not a
+    field.
     """
 
     c_s: complex
     c_minus_s: complex
 
     def __post_init__(self) -> None:
-        self.weights  # computed and checked here, read by slater_rank
-
-    @cached_property
-    def weights(self) -> list:
-        """[|c_s|^2, |c_minus_s|^2]; unit_weights checks their sum."""
-        return unit_weights((self.c_s, self.c_minus_s), "|c_s|^2 + |c_minus_s|^2")
+        object.__setattr__(self, "weights", unit_weights((self.c_s, self.c_minus_s), "|c_s|^2 + |c_minus_s|^2"))
 
 
 def outgoing_state(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics) -> TwoSpinState:

@@ -1,6 +1,8 @@
 """Tests for kinematics, channel amplitudes and normalization."""
 
 import cmath
+import dataclasses
+import fractions
 import math
 import re
 
@@ -17,12 +19,13 @@ from spinscatter.amplitudes import (
     coulomb_f_pm,
     coulomb_provider,
     check_unit_norm,
+    exact_map,
     normalize,
     unit_weights,
     validate_angle,
 )
 from spinscatter import amplitudes
-from spinscatter.bell import UnitVector3, critical_angle
+from spinscatter.bell import UnitVector3, bell_F, critical_angle
 from spinscatter.cli import evaluate_grid
 from spinscatter.entanglement import eoe_label_fixed
 from spinscatter.spin_states import ExchangeStatistics, SlaterDecomposition, TwoSpinState
@@ -434,7 +437,8 @@ class TestNormalizedPairValidation:
     def test_weights_are_computed_once(self, monkeypatch):
         """The check in __post_init__ computes the weights; .weights and a table's columns reuse them.
 
-        The weights stay out of the fields: repr and equality are those of (f_plus, f_minus).
+        The weights are stored as an attribute, not a field: fields, astuple, repr and equality are those of (f_plus,
+        f_minus), and the pair stays frozen.  A SlaterDecomposition stores its weights the same way.
         """
         calls = []
         counted = lambda coeffs, what: calls.append(what) or unit_weights(coeffs, what)
@@ -444,6 +448,17 @@ class TestNormalizedPairValidation:
         assert repr(pair) == "NormalizedAmplitudePair(f_plus=0.6, f_minus=0.8)"
         assert pair == NormalizedAmplitudePair(0.6, 0.8) != NormalizedAmplitudePair(0.8, 0.6)
         assert len(calls) == 3
+        assert [f.name for f in dataclasses.fields(NormalizedAmplitudePair)] == ["f_plus", "f_minus"]
+        assert dataclasses.astuple(pair) == (0.6, 0.8)
+        for name in ("f_plus", "weights"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pair, name, 1.0)
+        dec = SlaterDecomposition(0.6, -0.8)
+        assert dec.weights is dec.weights and dec.weights == unit_weights((0.6, -0.8), "norm")
+        assert [f.name for f in dataclasses.fields(SlaterDecomposition)] == ["c_s", "c_minus_s"]
+        assert dataclasses.astuple(dec) == (0.6, -0.8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.weights = [1.0, 0.0]
         calls.clear()
         evaluate_grid(np.linspace(0.1, 1.5, 50), coulomb_provider(), ExchangeStatistics.FERMION)
         assert calls == ["|f_plus|^2 + |f_minus|^2"]
@@ -522,6 +537,48 @@ class TestUnitNormCheck:
         with pytest.raises(ValueError) as exc:
             UnitVector3(np.float64(2.0), 0.0, 0.0)
         assert str(exc.value).endswith("got 4.0")
+
+
+class TestExactMap:
+    """exact_map reads a real array's float64 buffer: fn takes the floats it would make of the array's list."""
+
+    @staticmethod
+    def listed(fn, *arrays):
+        """exact_map by way of each array's .tolist(), whose elements fn converts itself."""
+        lists = (a.ravel().tolist() for a in arrays)
+        return np.fromiter(map(fn, *lists), float, arrays[0].size).reshape(arrays[0].shape)
+
+    GRID = np.linspace(0.05, 3.0, 20)
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([1, -7, 2**53 + 1, 2**62 + 3, -(2**63)], dtype=np.int64),
+            np.array([True, False]),
+            np.linspace(0.05, 3.0, 7, dtype=np.float32),
+            np.array([fractions.Fraction(1, 3), fractions.Fraction(10**30 + 1, 7), fractions.Fraction(-5, 2)]),
+            np.broadcast_arrays(np.array([0.3]), np.zeros(5))[0],
+            GRID[::3],
+            GRID[::-1],
+            GRID.reshape(4, 5),
+            GRID.reshape(4, 5).T,
+        ],
+        ids=["int64", "bool", "float32", "fractions", "stride-0", "slice", "reversed", "2-D", "transposed"],
+    )
+    def test_matches_tolist(self, array):
+        for got, want in (
+            (exact_map(math.atan, array), self.listed(math.atan, array)),
+            (exact_map(math.hypot, array, array), self.listed(math.hypot, array, array)),
+        ):
+            assert got.shape == want.shape == array.shape and got.dtype == want.dtype == float
+            assert got.tobytes() == want.tobytes()
+
+    def test_refuses_a_complex_array_as_math_does(self):
+        """A complex array is not cast to its real part: math's functions refuse its elements, in a grid too."""
+        with pytest.raises(TypeError, match="must be real number, not complex"):
+            exact_map(math.atan, np.array([0.5, 0.5 + 1j]))
+        with pytest.raises(TypeError, match="must be real number, not complex"):
+            coulomb_provider()(np.array([0.5 + 1j]))
 
 
 class TestGridForms:
@@ -614,16 +671,23 @@ class TestGridForms:
         assert type(phased.f_plus) is float and type(phased.f_minus) is complex
 
     def test_one_pair_makes_no_numpy_array_call(self, monkeypatch):
-        """One pair is normalized and checked in Python numbers: no np.where, errstate, asarray or fromiter runs."""
+        """One pair is normalized and checked in Python numbers: no np.array, where, errstate, asarray or fromiter runs.
+
+        So is a whole bisection step of critical_angle: provider, normalize, then bell_F on one angle.
+        """
+        providers = (coulomb_provider(), constant_provider(0.6), lambda theta: AmplitudePair(math.cos(theta), 0.5j))
 
         def refuse(*args, **kwargs):
             raise AssertionError("numpy array call on one pair")
 
-        for name in ("where", "errstate", "asarray", "fromiter"):
+        for name in ("array", "where", "errstate", "asarray", "ascontiguousarray", "fromiter", "iscomplexobj"):
             monkeypatch.setattr(np, name, refuse)
         for direct, exchange in ((-1.0, -1.0 / 3.0), (1.0 + 1.0j, 2.0 - 0.5j)):
             amps = normalize(AmplitudePair(direct, exchange))
             assert NormalizedAmplitudePair(amps.f_plus, amps.f_minus) == amps
+        for provider in providers:
+            f = bell_F(normalize(provider(0.7))) - 1.0
+            assert type(f) is float
 
     @pytest.mark.parametrize(
         "f_plus, f_minus",

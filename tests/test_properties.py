@@ -17,7 +17,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from spinscatter.amplitudes import AmplitudePair, constant_provider, normalize  # noqa: E402
+from spinscatter.amplitudes import (  # noqa: E402
+    AmplitudePair,
+    check_unit_norm,
+    constant_provider,
+    normalize,
+    unit_weights,
+)
 from spinscatter.bell import (  # noqa: E402
     BellGeometry,
     UnitVector3,
@@ -66,8 +72,8 @@ relative_phases = st.one_of(st.sampled_from([0.0, HALF_PI, math.pi]), st.floats(
 # and the other complex.
 edge_floats = st.one_of(
     st.sampled_from([
-        0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300, -1e-300,
-        1.5e308, -1.5e308, 1.7976931348623157e308,
+        0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.5e-310, 1e200, -1e200, 1e300, -1e300, 1e-300,
+        -1e-300, 1.5e308, -1.5e308, 1.7976931348623157e308,
     ]),
     st.floats(),
 )
@@ -275,6 +281,11 @@ def float_bits(x):
     return type(x), x.real.hex(), x.imag.hex()
 
 
+def squared_parts(coeffs):
+    """|c|^2 of numbers as complex(c)'s parts squared: unit_weights' rule, without its fast path for a float."""
+    return [c.real * c.real + c.imag * c.imag for c in map(complex, coeffs)]
+
+
 @settings(max_examples=1000, deadline=None)
 @given(direct=channels, exchange=channels)
 @example(direct=0.0, exchange=0.0)  # zero norm
@@ -283,14 +294,28 @@ def float_bits(x):
 @example(direct=3, exchange=-4.0 + 0.0j)  # an int beside a complex channel
 @example(direct=1.0 + 1.0j, exchange=1.7e308 + 1.7e308j)  # the exchange channel's modulus overflows to inf
 @example(direct=1.5e308, exchange=1.5e308)  # finite channels whose norm overflows to inf
+@example(direct=1e200, exchange=-0.0)  # a weight that squares to inf, refused as a raw pair's weights
+@example(direct=0.6, exchange=-0.8)  # floats whose weights pass unit_weights' check
+@example(direct=np.float64(-0.6), exchange=np.complex128(0.8j))  # numpy scalars whose weights pass it
+@example(direct=-5e-324, exchange=1)  # a subnormal beside an int
 def test_one_pair_matches_its_one_element_grid(direct, exchange):
     """normalize of one pair raises ValueError exactly when its one-element arrays do; else it is bit for bit theirs.
 
     The arrays are built per channel, as critical_angle's bracket builds them.  So is a grid that holds one channel as
     a number beside a two-element array of the other: normalize broadcasts the number, and each element is bit for bit
     the one pair.  AmplitudePair is a plain record, so normalize meets every pair, those with a zero, inf or NaN
-    channel norm too; no exception but ValueError may escape.
+    channel norm too; no exception but ValueError may escape.  The weights follow one rule, squared_parts: of the raw
+    pair unit_weights returns it bit for bit or refuses the pair exactly when its sum fails the unit-norm check, and
+    every normalized pair, one or a grid's element, stores those bits.
     """
+    want = squared_parts((direct, exchange))
+    try:
+        weights = unit_weights((direct, exchange), "w")
+    except ValueError:
+        with pytest.raises(ValueError):
+            check_unit_norm(sum(want), "w")
+    else:
+        assert [float_bits(w) for w in weights] == [float_bits(w) for w in want]
     outcomes = []
     for d, e in (
         (direct, exchange),
@@ -306,9 +331,13 @@ def test_one_pair_matches_its_one_element_grid(direct, exchange):
     assert all((one is None) == (grid is None) for grid in grids)
     if one is not None:
         assert type(one.f_plus) is float and type(one.f_minus) in (float, complex)
+        weights = [float_bits(w) for w in one.weights]
+        assert weights == [float_bits(w) for w in squared_parts((one.f_plus, one.f_minus))]
         for grid in grids:
             for want in zip(grid.f_plus.tolist(), grid.f_minus.tolist()):
                 assert [float_bits(x) for x in (one.f_plus, one.f_minus)] == [float_bits(x) for x in want]
+            for element in zip(*(w.tolist() for w in grid.weights)):
+                assert [float_bits(w) for w in element] == weights
 
 
 @settings(max_examples=150, deadline=None)
