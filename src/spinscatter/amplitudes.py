@@ -77,24 +77,27 @@ def check_unit_norm(norm_sq, what: str) -> None:
 
 
 def unit_weights(coeffs, what: str) -> list:
-    """The weights |c|^2 of numbers, or of equal-shape arrays over a grid; ValueError unless they sum to 1.
+    """The weights |c|^2 of numbers, or of arrays over a grid; ValueError unless they sum to 1.
 
     The package's one weight rule: the norm checks of pairs, states and decompositions, the entropy and the Slater rank
     all take their |c|^2 here.  Squared parts, not abs, whose numpy and Python forms can differ in the last bit: so grid
     and one-angle bits agree.  A real c, a float or a real array, is squared as it is: a square is never -0.0, so adding
-    the +0.0 of its imaginary part would change no bit.
+    the +0.0 of its imaginary part would change no bit.  On a grid, the arrays are of one shape, and a number among them
+    holds at every angle.
     """
-    if isinstance(coeffs[0], ndarray):
-        with np.errstate(over="ignore"):  # a huge component squares to inf, which fails the check
-            weights = [c.real * c.real + c.imag * c.imag if np.iscomplexobj(c) else c * c for c in coeffs]
-    else:  # Python numbers square to inf without a warning
-        weights = [c * c if type(c) is float else _modulus_sq(complex(c)) for c in coeffs]
-    check_unit_norm(sum(weights), what)
+    weights = [c * c if type(c) is float else _modulus_sq(c) for c in coeffs]
+    # Summed from the first weight: 0 + an array would copy it, and 0 + a weight is the weight (a square is never -0.0).
+    check_unit_norm(sum(weights[1:], weights[0]), what)
     return weights
 
 
-def _modulus_sq(z: complex) -> float:
-    return z.real * z.real + z.imag * z.imag
+def _modulus_sq(c):
+    """|c|^2 of an array, element by element, or of a number that is not a float, as a Python float."""
+    if isinstance(c, ndarray):
+        with np.errstate(over="ignore"):  # a huge component squares to inf, which fails the check
+            return c.real * c.real + c.imag * c.imag if c.dtype.kind == "c" else c * c
+    c = complex(c)  # Python numbers square to inf without a warning
+    return c.real * c.real + c.imag * c.imag
 
 
 def validate_angle(theta):
@@ -176,8 +179,9 @@ class NormalizedAmplitudePair:
     Convention: f_plus is real and nonnegative (if f_plus vanishes, the
     convention falls to f_minus instead).  Only the relative phase of the
     two components is physical; fixing the global phase this way makes
-    equal states compare equal.  For an angle grid both components are
-    equal-shape arrays, and every element must pass both checks.
+    equal states compare equal.  For an angle grid the components are
+    equal-shape arrays, or a number beside an array, which then holds at
+    every angle; every element must pass both checks.
 
     weights, [|f_plus|^2, |f_minus|^2] as numbers or arrays like the
     components, is computed and checked once here, and read by the entropy
@@ -190,10 +194,11 @@ class NormalizedAmplitudePair:
 
     def __post_init__(self) -> None:
         f_plus, f_minus = self.f_plus, self.f_minus
-        object.__setattr__(self, "weights", unit_weights((f_plus, f_minus), "|f_plus|^2 + |f_minus|^2"))
-        if isinstance(f_plus, ndarray):
+        # Stored past the frozen __setattr__ as object.__setattr__ would, at about a third of its cost: once per step.
+        self.__dict__["weights"] = unit_weights((f_plus, f_minus), "|f_plus|^2 + |f_minus|^2")
+        if isinstance(f_plus, ndarray) or isinstance(f_minus, ndarray):  # a number beside an array holds at every angle
             anchor = np.where(f_plus == 0, f_minus, f_plus)
-            if np.iscomplexobj(anchor):
+            if anchor.dtype.kind == "c":
                 unfixed = ((abs(anchor.imag) > NORM_TOL) | (anchor.real < 0.0)).any()
             else:  # a real array's .imag is zeros
                 unfixed = (anchor < 0.0).any()
@@ -208,7 +213,8 @@ class NormalizedAmplitudePair:
 # exchange relation provider(pi - theta) == (exchange, direct) of provider(theta), i.e. the exchange channel is the
 # direct channel at the supplementary angle.  A provider need only take one angle.  One may also have a grid form, its
 # `grid` attribute: a callable that takes an angle array and answers it with channel arrays, or with numbers where the
-# amplitudes do not depend on the angle.  The built-in providers are their own grid form; raw_grid uses it.
+# amplitudes do not depend on the angle.  It reads the array and never writes into it: critical_angle's bracket grid is
+# shared by every solve and read-only.  The built-in providers are their own grid form; raw_grid uses it.
 AmplitudeProvider = Callable[[float], AmplitudePair]
 
 
@@ -293,7 +299,8 @@ def normalize(pair: AmplitudePair) -> NormalizedAmplitudePair:
         else:
             f_minus = exchange * (direct / lead) / norm
         return NormalizedAmplitudePair(f_plus, f_minus)
-    direct, exchange = np.broadcast_arrays(direct, exchange)  # read-only views: never written to
+    if not (isinstance(direct, ndarray) and isinstance(exchange, ndarray) and direct.shape == exchange.shape):
+        direct, exchange = np.broadcast_arrays(direct, exchange)  # read-only views: never written to
     modulus = lambda z: exact_map(math.hypot, z.real, z.imag) if z.dtype.kind == "c" else np.abs(z)
     lead, tail = modulus(direct), modulus(exchange)
     norm = exact_map(math.hypot, lead, tail)

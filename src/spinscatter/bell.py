@@ -46,6 +46,9 @@ _IMAG_TOL = 1e-9
 
 _SCAN_POINTS = 1024
 _BRACKET_LO = 1e-6
+# critical_angle's bracket grid, built once and shared by every solve; read-only, so a grid form cannot write into it.
+_BRACKET = np.linspace(_BRACKET_LO, math.pi / 2.0, _SCAN_POINTS)
+_BRACKET.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -168,13 +171,25 @@ def bell_F(amps: NormalizedAmplitudePair, statistics: ExchangeStatistics = Excha
     return 1.25 + 1.5 * statistics.sign * amps.f_plus.real * amps.f_minus.real
 
 
+def _first_crossing(values: np.ndarray) -> Optional[int]:
+    """Index of the first angle where F - 1 is 0 or has the other sign at the next angle; None where there is none."""
+    negative = values < 0.0
+    hits = values == 0.0
+    hits[:-1] |= negative[:-1] != negative[1:]
+    i = int(hits.argmax())
+    return i if hits[i] else None
+
+
 def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[float]:
     """Smallest angle in (0, pi/2] where the provider's fermion F(theta) crosses 1.
 
-    F comes from normalize and bell_F: on a 1024-angle grid, fetched by
-    raw_grid (one call of the provider's grid form, such as a built-in
-    provider's, else one call per angle), that brackets the first sign change
-    of F - 1 (robust against non-monotone providers), then on one angle per
+    F comes from normalize and bell_F: on the shared bracket grid _BRACKET,
+    1024 angles from 1e-6 to pi/2 built once at import and read-only (a grid
+    form gets that array and may not write into it), fetched by raw_grid (one
+    call of the provider's grid form, such as a built-in provider's, else one
+    call per angle), that brackets the first sign change of F - 1 (robust
+    against non-monotone providers; two crossings closer than the grid
+    spacing, about 1.54e-3, can be missed), then on one angle per
     bisection step (a Python float), until the bracket's half-width drops
     below tol or no float lies strictly inside it.  A step normalizes its
     pair in Python floats, bit for bit as in a grid, so both routes find the
@@ -183,17 +198,16 @@ def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    thetas = np.linspace(_BRACKET_LO, math.pi / 2.0, _SCAN_POINTS)
+    values = bell_F(normalize(raw_grid(provider, _BRACKET))) - 1.0
     # A grid answered with numbers gives one F - 1, which holds at every angle.
-    values = np.broadcast_to(bell_F(normalize(raw_grid(provider, thetas))) - 1.0, thetas.shape)
-    # The first angle where F - 1 is 0 or has the other sign at the next angle.
-    hits = np.flatnonzero((values == 0.0) | np.append(np.diff(values < 0.0), False))
-    if hits.size == 0:
+    if not (isinstance(values, np.ndarray) and values.shape == _BRACKET.shape):
+        values = np.broadcast_to(values, _BRACKET.shape)
+    if (i := _first_crossing(values)) is None:
         return None
-    i = int(hits[0])
     if values[i] == 0.0:
-        return thetas[i].item()
-    lo, f_lo, hi = thetas[i].item(), values[i], thetas[i + 1].item()
+        return _BRACKET[i].item()
+    # Python floats: each step compares f_lo, and a numpy scalar's comparison costs about 20 times a float's.
+    lo, f_lo, hi = _BRACKET[i].item(), values[i].item(), _BRACKET[i + 1].item()
 
     while 0.5 * (hi - lo) > tol:
         mid = 0.5 * (lo + hi)

@@ -28,7 +28,7 @@ from spinscatter import amplitudes
 from spinscatter.bell import UnitVector3, bell_F, critical_angle
 from spinscatter.cli import evaluate_grid
 from spinscatter.entanglement import eoe_label_fixed
-from spinscatter.spin_states import ExchangeStatistics, SlaterDecomposition, TwoSpinState
+from spinscatter.spin_states import ExchangeStatistics, SlaterDecomposition, TwoSpinState, outgoing_state
 
 from providers import grid_form
 
@@ -434,6 +434,38 @@ class TestNormalizedPairValidation:
         assert NormalizedAmplitudePair(0.6, 0.8j).f_minus == 0.8j
         assert NormalizedAmplitudePair(0.6, -0.8).f_minus == -0.8
 
+    @pytest.mark.parametrize(
+        "number, array",
+        [
+            (0.6, [0.8, 0.8]),
+            (0.0, [1.0, 1.0]),
+            (0.6, [0.8, -0.8]),
+            (0.6, [0.8j, -0.8j]),
+            (0.6j, [0.8, 0.8]),
+            (-0.6, [0.8, 0.8]),
+            (0.0, [1.0, -1.0]),
+            (0.6, [0.8, 0.9]),
+            (NAN, [0.8, 0.8]),
+            (1e200, [0.0, 0.0]),
+        ],
+    )
+    def test_a_number_beside_an_array_holds_at_every_angle(self, number, array):
+        """A number as f_plus or as f_minus beside an array: the pair's weights and checks are, element for element,
+        those of the pair with the number repeated into an array, in either order."""
+        array = np.array(array)
+        full = np.full(array.shape, number)
+        for mixed, grid in (((number, array), (full, array)), ((array, number), (array, full))):
+            try:
+                want = NormalizedAmplitudePair(*grid)
+            except ValueError as error:
+                with pytest.raises(ValueError, match=re.escape(str(error))):
+                    NormalizedAmplitudePair(*mixed)
+                continue
+            got = NormalizedAmplitudePair(*mixed)
+            assert [np.broadcast_to(w, array.shape).tobytes() for w in got.weights] == [
+                w.tobytes() for w in want.weights
+            ]
+
     def test_weights_are_computed_once(self, monkeypatch):
         """The check in __post_init__ computes the weights; .weights and a table's columns reuse them.
 
@@ -523,6 +555,18 @@ class TestUnitNormCheck:
             grid = unit_weights((a, b), "norm")
             for i, pair in enumerate(zip(a.tolist(), b.tolist())):
                 assert [w[i] for w in grid] == unit_weights(pair, "norm")
+
+    def test_unit_weights_of_a_grid_whose_first_coefficient_is_a_number(self):
+        """Any array among the coefficients makes a grid: the state 0 |uu> + f_plus |ud> - f_minus |du> + 0 |dd> of a
+        grid pair is checked element by element, and its first failing element is named."""
+        amps = NormalizedAmplitudePair(np.array([0.6, 1.0]), np.array([0.8, 0.0]))
+        state = outgoing_state(amps, ExchangeStatistics.FERMION)
+        coeffs = (state.c_upup, state.c_updown, state.c_downup, state.c_downdown)
+        assert [np.broadcast_to(w, (2,)).tolist() for w in unit_weights(coeffs, "norm")] == [
+            [0.0, 0.0], [0.36, 1.0], [0.6400000000000001, 0.0], [0.0, 0.0]
+        ]
+        with pytest.raises(ValueError, match=r"^\|psi\|\^2 must be 1, got 1\.25$"):
+            TwoSpinState(0.0, np.array([0.6, 1.0]), np.array([-0.8, 0.5]), 0.0)
 
     @pytest.mark.parametrize("norm_sq", [NAN, INF, -INF, 1.0 + 2e-12, 1.0 - 2e-12])
     def test_check_rejects(self, norm_sq):

@@ -16,8 +16,10 @@ from spinscatter.amplitudes import (
     raw_grid,
 )
 from spinscatter.bell import (
+    _BRACKET,
     _BRACKET_LO,
     _SCAN_POINTS,
+    _first_crossing,
     BellGeometry,
     UnitVector3,
     bell_F,
@@ -349,7 +351,7 @@ class TestCriticalAngle:
         """The bracket's F - 1 through the grid form equals, bit for bit at all 1024 angles, that through one call per
         angle and that of each angle alone; critical_angle returns the same root through either route."""
         one_angle = lambda theta: provider(theta)
-        thetas = np.linspace(_BRACKET_LO, math.pi / 2, _SCAN_POINTS)
+        thetas = _BRACKET
         grid, fallback = (
             np.broadcast_to(bell_F(normalize(raw_grid(p, thetas))) - 1.0, thetas.shape) for p in (provider, one_angle)
         )
@@ -366,7 +368,7 @@ class TestCriticalAngle:
         """
         phi = 0.16991845472706094
         on_root = AmplitudePair(math.cos(phi), math.sin(phi))
-        thetas = np.linspace(_BRACKET_LO, math.pi / 2, _SCAN_POINTS).tolist()
+        thetas = _BRACKET.tolist()
         seen = []
 
         @grid_form
@@ -387,7 +389,7 @@ class TestCriticalAngle:
         phi = 0.16991845472706094
         on_root = AmplitudePair(math.cos(phi), math.sin(phi))
         assert bell_F(normalize(on_root)) - 1.0 == 0.0
-        thetas = np.linspace(_BRACKET_LO, math.pi / 2, _SCAN_POINTS).tolist()
+        thetas = _BRACKET.tolist()
         k = 500
         seen = []
 
@@ -400,9 +402,66 @@ class TestCriticalAngle:
         assert critical_angle(provider) == thetas[k]
         assert seen == thetas
 
+    def test_exact_zero_only_at_the_last_bracket_angle_is_the_root(self):
+        """F - 1 is exactly 0.0 at the last bracket angle, pi/2, and above 0 before it: pi/2 is the root, through the
+        grid form and through one call per angle."""
+        phi = 0.16991845472706094
+        on_root = (math.cos(phi), math.sin(phi))
+        one_angle = lambda theta: AmplitudePair(*on_root) if theta == math.pi / 2 else AmplitudePair(1.0, 0.0)
+
+        @grid_form
+        def provider(theta):
+            if not isinstance(theta, np.ndarray):
+                return one_angle(theta)
+            last = theta == math.pi / 2
+            return AmplitudePair(np.where(last, on_root[0], 1.0), np.where(last, on_root[1], 0.0))
+
+        values = bell_F(normalize(raw_grid(provider, _BRACKET))) - 1.0
+        assert values[-1] == 0.0 and (values[:-1] > 0.0).all()
+        assert critical_angle(provider) == critical_angle(one_angle) == _BRACKET[-1] == math.pi / 2
+
+    def test_bracket_grid_is_one_read_only_constant(self):
+        """Every solve reads the same bracket grid: the linspace each solve used to build, bit for bit, and read-only."""
+        assert not _BRACKET.flags.writeable
+        assert _BRACKET.tobytes() == np.linspace(_BRACKET_LO, math.pi / 2, _SCAN_POINTS).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            _BRACKET[0] = 1.0
+
+    def test_a_grid_form_that_writes_into_its_angles_is_refused(self):
+        """A grid form gets the shared bracket grid; writing into it raises ValueError and leaves the next root as it
+        was."""
+        coulomb = coulomb_provider()
+        root = critical_angle(coulomb)
+
+        @grid_form
+        def scribbling(theta):
+            if isinstance(theta, np.ndarray):
+                theta *= 0.5
+            return coulomb(theta)
+
+        with pytest.raises(ValueError, match="read-only"):
+            critical_angle(scribbling)
+        assert critical_angle(coulomb) == root == critical_angle(lambda theta: coulomb(theta))
+
+    def test_a_window_narrower_than_the_grid_spacing_can_be_missed(self):
+        """F < 1 on a window that holds no bracket angle: its two crossings are closer than the grid spacing
+        pi/2/1023, about 1.54e-3, and critical_angle reports none.  Widened over two bracket angles, it is found."""
+        spacing = (_BRACKET[1] - _BRACKET[0]).item()
+        assert spacing == pytest.approx(1.54e-3, abs=5e-6)
+        center = (0.5 * (_BRACKET[500] + _BRACKET[501])).item()
+
+        def window(half_width):
+            inside, outside = AmplitudePair(1.0, 1.0), AmplitudePair(1.0, 0.0)  # F = 0.5 and F = 1.25
+            return lambda theta: inside if abs(theta - center) < half_width else outside
+
+        narrow = window(0.25 * spacing)
+        assert bell_F(normalize(narrow(center))) < 1.0
+        assert critical_angle(narrow) is None
+        assert critical_angle(window(0.75 * spacing)) == pytest.approx(center - 0.75 * spacing, abs=1e-9)
+
     def test_vanishing_pair_on_the_bracket_grid_is_refused(self):
         """A user provider that vanishes in both channels at one bracket angle meets normalize's gate, naming 0.0."""
-        thetas = np.linspace(_BRACKET_LO, math.pi / 2, _SCAN_POINTS).tolist()
+        thetas = _BRACKET.tolist()
         coulomb = coulomb_provider()
         provider = lambda theta: AmplitudePair(0.0, 0.0) if theta == thetas[500] else coulomb(theta)
         with pytest.raises(ValueError, match=r"channel norm hypot\(\|direct\|, \|exchange\|\) must be .*, got 0.0$"):

@@ -25,6 +25,8 @@ from spinscatter.amplitudes import (  # noqa: E402
     unit_weights,
 )
 from spinscatter.bell import (  # noqa: E402
+    _SCAN_POINTS,
+    _first_crossing,
     BellGeometry,
     UnitVector3,
     bell_F,
@@ -338,6 +340,38 @@ def test_one_pair_matches_its_one_element_grid(direct, exchange):
                 assert [float_bits(x) for x in (one.f_plus, one.f_minus)] == [float_bits(x) for x in want]
             for element in zip(*(w.tolist() for w in grid.weights)):
                 assert [float_bits(w) for w in element] == weights
+
+
+@st.composite
+def bracket_values(draw):
+    """F - 1 over the bracket grid as critical_angle scans it.
+
+    Runs of one sign (one run: an array of one sign throughout) with exact zeros anywhere, the first and last angle
+    included; or one number broadcast over the grid, which is what a grid answered with numbers gives.
+    """
+    magnitudes = st.one_of(st.sampled_from([5e-324, 1e-300, 0.25, 0.5]), st.floats(5e-324, 0.5))
+    if draw(st.booleans()):
+        number = draw(st.one_of(st.sampled_from([0.0, -0.0]), magnitudes, magnitudes.map(lambda m: -m)))
+        return np.broadcast_to(np.float64(number), (_SCAN_POINTS,))
+    runs = draw(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), magnitudes, st.integers(1, _SCAN_POINTS)), min_size=1,
+                         max_size=6))
+    values = np.resize(np.concatenate([np.full(length, sign * m) for sign, m, length in runs]), _SCAN_POINTS)
+    at = st.one_of(st.sampled_from([0, _SCAN_POINTS - 1]), st.integers(0, _SCAN_POINTS - 1))
+    for k in draw(st.lists(at, max_size=4)):
+        values[k] = draw(st.sampled_from([0.0, -0.0]))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=bracket_values())
+@example(values=np.full(_SCAN_POINTS, -0.5))
+@example(values=np.full(_SCAN_POINTS, 0.25))
+@example(values=np.concatenate([[0.0], np.full(_SCAN_POINTS - 1, -0.5)]))
+@example(values=np.concatenate([np.full(_SCAN_POINTS - 1, 0.25), [0.0]]))
+def test_first_crossing_matches_the_diff_scan(values):
+    """The sign-change scan picks the first index that the np.diff expression it replaced picks, or None with it."""
+    hits = np.flatnonzero((values == 0.0) | np.append(np.diff(values < 0.0), False))
+    assert _first_crossing(values) == (int(hits[0]) if hits.size else None)
 
 
 @settings(max_examples=150, deadline=None)
