@@ -32,7 +32,6 @@ from .bell import (
     standard_geometry,
 )
 from .entanglement import (
-    entropy_of_state,
     eoe_label_fixed,
     eoe_symmetrized,
 )
@@ -42,7 +41,6 @@ from .spin_states import (
     TwoSpinState,
     distinguishable_outgoing_state,
     outgoing_state,
-    reduced_density_matrix,
     slater_decomposition,
     slater_rank,
 )
@@ -70,12 +68,10 @@ __all__ = [
     "coulomb_provider",
     "critical_angle",
     "distinguishable_outgoing_state",
-    "entropy_of_state",
     "eoe_label_fixed",
     "eoe_symmetrized",
     "normalize",
     "outgoing_state",
-    "reduced_density_matrix",
     "slater_decomposition",
     "slater_rank",
     "standard_geometry",

@@ -212,9 +212,10 @@ class NormalizedAmplitudePair:
 # An interaction model: maps a scattering angle onto the raw channel pair.  Physically consistent providers satisfy the
 # exchange relation provider(pi - theta) == (exchange, direct) of provider(theta), i.e. the exchange channel is the
 # direct channel at the supplementary angle.  A provider need only take one angle.  One may also have a grid form, its
-# `grid` attribute: a callable that takes an angle array and answers it with channel arrays, or with numbers where the
-# amplitudes do not depend on the angle.  It reads the array and never writes into it: critical_angle's bracket grid is
-# shared by every solve and read-only.  The built-in providers are their own grid form; raw_grid uses it.
+# `grid` attribute: a callable that takes an angle array and answers it with channel arrays of exactly that array's
+# shape, or with numbers where the amplitudes do not depend on the angle; raw_grid refuses any other answer with
+# ValueError.  It reads the array and never writes into it: critical_angle's bracket grid is shared by every solve and
+# read-only.  The built-in providers are their own grid form; raw_grid uses it.
 AmplitudeProvider = Callable[[float], AmplitudePair]
 
 
@@ -222,13 +223,23 @@ def raw_grid(provider: AmplitudeProvider, thetas: ndarray) -> AmplitudePair:
     """The provider's raw pair over an angle grid, for normalize: the one way to fetch a grid.
 
     One call of the provider's grid form where it has one; otherwise one call per angle, each with a Python float, and
-    each channel stacked into an array of the grid's shape.  Through either route a grid element equals its one-angle
-    pair, for the built-in providers bit for bit.
+    each channel stacked into an array.  Through either route a grid element equals its one-angle pair, for the built-in
+    providers bit for bit.  Each channel comes out a number, which holds at every angle, or an array of exactly the
+    grid's shape; any other array, such as a broadcastable (1,) answer or one-angle pairs that hold arrays, raises
+    ValueError naming its shape and the grid's size.
     """
     if (grid := getattr(provider, "grid", None)) is not None:
-        return grid(thetas)
-    pairs = list(map(provider, thetas.tolist()))
-    return AmplitudePair(np.array([p.direct for p in pairs]), np.array([p.exchange for p in pairs]))
+        pair = grid(thetas)
+    else:
+        pairs = list(map(provider, thetas.tolist()))
+        pair = AmplitudePair(np.array([p.direct for p in pairs]), np.array([p.exchange for p in pairs]))
+    for channel in (pair.direct, pair.exchange):
+        if isinstance(channel, ndarray) and channel.shape != thetas.shape:
+            raise ValueError(
+                f"a raw pair over {thetas.size} angles must hold numbers or arrays of shape {thetas.shape}, "
+                f"got a channel of shape {channel.shape}"
+            )
+    return pair
 
 
 def coulomb_amplitudes(theta, kin: Kinematics) -> AmplitudePair:

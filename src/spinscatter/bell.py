@@ -144,13 +144,14 @@ def correlator_oracle(state: TwoSpinState, a: UnitVector3, b: UnitVector3) -> fl
     """Spin correlator from the explicit Pauli tensor product.
 
     Builds (sigma.a) x (sigma.b) and takes its expectation value in the
-    given state.  Works for any normalized two-spin state and serves as
+    given state, whose four coefficients it reads in basis order (uu, ud,
+    du, dd).  Works for any normalized two-spin state and serves as
     the independent cross-check of the closed form.  The operator is
     Hermitian, so a non-negligible imaginary part raises rather than
     being silently discarded.
     """
     op = np.kron(_spin_along(a), _spin_along(b))
-    psi = state.vector
+    psi = np.array((state.c_upup, state.c_updown, state.c_downup, state.c_downdown), dtype=complex)
     value = complex(np.vdot(psi, op @ psi))
     if abs(value.imag) > _IMAG_TOL:
         raise ArithmeticError(f"correlator expectation has imaginary part {value.imag!r}")
@@ -199,8 +200,8 @@ def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[
         raise ValueError(f"tol must be positive, got {tol!r}")
 
     values = bell_F(normalize(raw_grid(provider, _BRACKET))) - 1.0
-    # A grid answered with numbers gives one F - 1, which holds at every angle.
-    if not (isinstance(values, np.ndarray) and values.shape == _BRACKET.shape):
+    # A grid answered with numbers gives one F - 1, which holds at every angle; raw_grid refuses any other shape.
+    if not isinstance(values, np.ndarray):
         values = np.broadcast_to(values, _BRACKET.shape)
     if (i := _first_crossing(values)) is None:
         return None

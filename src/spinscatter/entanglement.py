@@ -1,4 +1,4 @@
-"""Entropy of entanglement for determinant superpositions and two-spin states.
+"""Entropy of entanglement of determinant superpositions.
 
 Two bookkeeping conventions coexist for identical particles.  With the
 slot labels held fixed, the entropy is the Shannon entropy (base 2) of the
@@ -16,19 +16,18 @@ import math
 import numpy as np
 
 from .amplitudes import exact_map, unit_weights
-from .spin_states import TwoSpinState, reduced_density_matrix
 
 
 def shannon_bits(weights):
     """Shannon entropy -sum w log2 w of a weight distribution, in bits.
 
-    The weights are ones that unit_weights made, or the eigenvalues of a
-    checked TwoSpinState, so none is NaN or +-inf; 0 log 0 := 0, and they
-    are clamped to [0, 1] to absorb round-off.  A sequence of numbers gives
-    one entropy (a Python float).  One equal-shape array per weight (for a
-    scan, one per determinant, over the angle grid) gives the array of
-    entropies, element by element, with math.log2 through exact_map, one
-    weight at a time: so exact_map sees no more than one slice of a scan.
+    The weights are ones that unit_weights made, so none is NaN or +-inf;
+    0 log 0 := 0, and they are clamped to [0, 1] to absorb round-off.  A
+    sequence of numbers gives one entropy (a Python float).  One
+    equal-shape array per weight (for a scan, one per determinant, over
+    the angle grid) gives the array of entropies, element by element, with
+    math.log2 through exact_map, one weight at a time: so exact_map sees no
+    more than one slice of a scan.
     """
     w = np.clip(np.asarray(weights, dtype=float), 0.0, 1.0)
     total = 0.0
@@ -55,18 +54,3 @@ def eoe_symmetrized(coeffs) -> float:
     antisymmetrization itself; it is exactly 1 for every input.
     """
     return 1.0 + eoe_label_fixed(coeffs)
-
-
-def entropy_of_state(state: TwoSpinState) -> float:
-    """Von Neumann entropy (base 2) of either slot's reduced density matrix.
-
-    Computed by the Schmidt route: eigenvalues of the slot-1 reduced
-    density matrix, clamped to [0, 1] before the logarithm.  Independent
-    of which slot is traced out, and of any fixed exchange sign between
-    the channel components.  This is the reference route that tests hold
-    the closed-form tables against; the tables themselves take
-    shannon_bits of |f_plus|^2 and |f_minus|^2 directly.
-    """
-    evals = np.linalg.eigvalsh(reduced_density_matrix(state, 1))
-    return shannon_bits(evals)
-

@@ -1,7 +1,8 @@
 """Two-particle spin states and their Slater-determinant bookkeeping.
 
-States are written over the product basis (uu, ud, du, dd), where slot 1
-is the particle detected at theta and slot 2 its partner at pi - theta.
+A state is the record of its four coefficients over the product basis
+(uu, ud, du, dd), where slot 1 is the particle detected at theta and
+slot 2 its partner at pi - theta.
 Starting from opposite spins along the quantization axis, a
 spin-independent interaction superposes the direct and exchange channels
 into
@@ -12,16 +13,14 @@ into
 Re-expressed over the two antisymmetrized opposite-spin mode determinants,
 the fermion state carries the coefficient pair (f_plus, -f_minus).  A
 single determinant is just antisymmetrization and carries no useful
-entanglement; a genuine superposition of both does, which is what the
-entropy module quantifies.
+entanglement; a genuine superposition of both does, which the entropy
+module quantifies from the two determinant weights.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 from .amplitudes import NormalizedAmplitudePair, unit_weights
 
@@ -47,15 +46,7 @@ class TwoSpinState:
     c_downdown: complex
 
     def __post_init__(self) -> None:
-        unit_weights(self._coeffs(), "|psi|^2")
-
-    def _coeffs(self) -> tuple[complex, complex, complex, complex]:
-        return (self.c_upup, self.c_updown, self.c_downup, self.c_downdown)
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Coefficients as a length-4 complex array in basis order."""
-        return np.array(self._coeffs(), dtype=complex)
+        unit_weights((self.c_upup, self.c_updown, self.c_downup, self.c_downdown), "|psi|^2")
 
 
 @dataclass(frozen=True)
@@ -119,17 +110,3 @@ def rank_of_weights(weights):
 def slater_rank(dec: SlaterDecomposition) -> int:
     """Slater rank of a decomposition: rank_of_weights of its |c|^2."""
     return rank_of_weights(dec.weights)
-
-
-def reduced_density_matrix(state: TwoSpinState, slot: int) -> np.ndarray:
-    """Partial trace of the pure two-spin state onto one slot.
-
-    Returns the 2x2 complex density matrix of the kept slot in its
-    (up, down) basis: Hermitian, unit trace, positive semidefinite.
-    """
-    if slot not in (1, 2):
-        raise ValueError(f"slot must be 1 or 2, got {slot!r}")
-    c = state.vector.reshape(2, 2)
-    if slot == 1:
-        return c @ c.conj().T
-    return c.T @ c.conj()

@@ -3,14 +3,16 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the pass/fail lines.
 Every expected number below was either frozen from an independent evaluation
 route before the implementation existed, or is asserted against a second
-in-package route.  Those second routes are not all independent: for
-criterion 3 the closed-form entropy eoe_label_fixed(coulomb_f_pm(theta)) and
-the eigenvalue route entropy_of_state both end in shannon_bits, so they
-cannot catch an error in it.  The independent check is
-tests/reference.py, which computes in the decimal module and imports
-nothing from spinscatter.  tests/test_reference.py holds to it the default
-scan's printed columns, the Slater rank on 1e-4...1e-2, both fields of the
-`critical` line, and f_plus and F of the 10k-row JSON scan.
+route.  Two such routes live in tests/.  tests/oracles.py holds the
+eigenvalue entropy entropy_of_state (criteria 3, 9 and 10): the state's
+coefficient vector, its partial trace onto one slot and np.linalg.eigvalsh.
+It ends in shannon_bits, as the package's own entropy does, so it cannot
+catch an error there.  tests/reference.py can: it computes in the decimal
+module and imports nothing from spinscatter.  tests/test_reference.py holds
+to it the default scan's printed columns, the Slater rank on 1e-4...1e-2,
+both fields of the `critical` line, and f_plus and F of the 10k-row JSON
+scan.  The Pauli oracle of criterion 5, correlator_oracle, is still in
+spinscatter.bell.
 """
 
 import math
@@ -36,7 +38,6 @@ from spinscatter.bell import (
 )
 from spinscatter.cli import main
 from spinscatter.entanglement import (
-    entropy_of_state,
     eoe_label_fixed,
     eoe_symmetrized,
 )
@@ -48,6 +49,8 @@ from spinscatter.spin_states import (
     slater_decomposition,
     slater_rank,
 )
+
+from oracles import entropy_of_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -1,6 +1,7 @@
 """Tests for the Bell correlator, analyzer geometry and critical angle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from spinscatter.bell import (
     critical_angle,
     standard_geometry,
 )
-from spinscatter.cli import evaluate_grid
+from spinscatter.cli import BLOCK_ROWS, evaluate_grid
 from spinscatter.spin_states import ExchangeStatistics, TwoSpinState, outgoing_state
 
 from providers import grid_form
@@ -190,6 +191,25 @@ class TestOracle:
         """The oracle takes complex pairs too; axis spins stay opposite."""
         state = outgoing_state(NormalizedAmplitudePair(0.6, 0.8j), ExchangeStatistics.FERMION)
         assert correlator_oracle(state, Z_HAT, Z_HAT) == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "coeffs, pins",
+        [
+            ((1.0, 1.0, 0.0, 0.0), [(Z_HAT, X_HAT, 1.0), (X_HAT, Z_HAT, 0.0)]),
+            ((1.0, 0.0, 1.0, 0.0), [(Z_HAT, X_HAT, 0.0), (X_HAT, Z_HAT, 1.0)]),
+            ((1.0, 0.0, 0.0, 1.0), [(X_HAT, X_HAT, 1.0), (Y_HAT, Y_HAT, -1.0)]),
+        ],
+        ids=["uu+ud", "uu+du", "uu+dd"],
+    )
+    def test_basis_order(self, coeffs, pins):
+        """The four coefficients are read in the order (uu, ud, du, dd), the first analyzer acting on slot 1.
+
+        (|uu> + |ud>)/sqrt 2 is slot 1 up along z and slot 2 up along x; (|uu> + |du>)/sqrt 2 the mirror image; and
+        (|uu> + |dd>)/sqrt 2 is the Bell state with E(x, x) = 1 and E(y, y) = -1.
+        """
+        state = TwoSpinState(*(c * math.sqrt(0.5) for c in coeffs))
+        for a, b, want in pins:
+            assert correlator_oracle(state, a, b) == pytest.approx(want, abs=1e-15)
 
 
 class TestBellF:
@@ -502,3 +522,87 @@ class TestCriticalAngle:
         root = critical_angle(lambda t: AmplitudePair(math.cos(t / 2), phase * math.sin(t / 2)))
         assert root == pytest.approx(math.asin(1.0 / (3.0 * math.cos(0.3))), abs=1e-10)
         assert critical_angle(lambda t: AmplitudePair(math.cos(t / 2), 1j * math.sin(t / 2))) is None
+
+
+def half_angle(theta):
+    """(cos theta/2, sin theta/2): its fermion F crosses 1 at 0.33983690940795663."""
+    return AmplitudePair(math.cos(theta / 2), math.sin(theta / 2))
+
+
+def each_angle(fn, thetas):
+    """fn of every angle of an array, as an array of their shape: a grid form with the one-angle bits."""
+    return np.array([fn(theta) for theta in thetas.tolist()])
+
+
+def with_grid(one_angle, grid):
+    """A copy of the one-angle provider whose grid form is grid."""
+    provider = lambda theta: one_angle(theta)
+    provider.grid = grid
+    return provider
+
+
+WRONG_SHAPES = {
+    "first-angle-only": lambda thetas: thetas[:1],
+    "one-short": lambda thetas: thetas[:-1],
+    "column": lambda thetas: thetas[:, None],
+}
+
+
+class TestGridAnswerShape:
+    """raw_grid takes from a grid form numbers, or arrays of exactly the grid's shape, and refuses every other array.
+
+    numpy would broadcast a (1,) answer over any grid, so before this gate a grid form that answered only its first
+    angle made critical_angle find no crossing and evaluate_grid write one row's values into every row.
+    """
+
+    SCAN = np.linspace(0.01, math.pi / 2, 5000)  # two slices of evaluate_grid, the first of BLOCK_ROWS angles
+
+    @staticmethod
+    def refused(n, shape):
+        """The gate's ValueError for a grid of n angles answered with a channel of this shape."""
+        text = f"a raw pair over {n} angles must hold numbers or arrays of shape {(n,)}, got a channel of shape {shape}"
+        return pytest.raises(ValueError, match=re.escape(text) + "$")
+
+    def calls(self, provider):
+        """critical_angle and evaluate_grid of the provider, each with the size of the first grid that it fetches."""
+        return [
+            (lambda: critical_angle(provider), _SCAN_POINTS),
+            (lambda: evaluate_grid(self.SCAN, provider, ExchangeStatistics.FERMION), BLOCK_ROWS),
+        ]
+
+    @pytest.mark.parametrize("pick", WRONG_SHAPES.values(), ids=WRONG_SHAPES.keys())
+    def test_a_wrong_shape_is_refused(self, pick):
+        """critical_angle and evaluate_grid raise the gate's ValueError, naming the answer's shape and the grid size."""
+        provider = with_grid(half_angle, lambda thetas: AmplitudePair(*(f(pick(thetas) / 2) for f in (np.cos, np.sin))))
+        for call, n in self.calls(provider):
+            with self.refused(n, pick(np.empty(n)).shape):
+                call()
+
+    def test_one_angle_pairs_that_hold_arrays_are_refused(self):
+        """One-angle pairs of 2-element arrays stack to an (n, 2) channel, which the gate refuses by its shape."""
+        provider = lambda theta: AmplitudePair(np.full(2, math.cos(theta / 2)), np.full(2, math.sin(theta / 2)))
+        for call, n in self.calls(provider):
+            with self.refused(n, (n, 2)):
+                call()
+
+    @pytest.mark.parametrize(
+        "one_angle, grid",
+        [
+            (lambda theta: AmplitudePair(0.6, 0.8), lambda thetas: AmplitudePair(0.6, 0.8)),
+            (half_angle, lambda thetas: AmplitudePair(*(each_angle(f, thetas / 2) for f in (math.cos, math.sin)))),
+            (
+                lambda theta: AmplitudePair(1.0, math.tan(theta / 2)),
+                lambda thetas: AmplitudePair(1.0, each_angle(math.tan, thetas / 2)),
+            ),
+        ],
+        ids=["numbers", "grid-shaped", "number-beside-array"],
+    )
+    def test_accepted_answers_give_the_one_angle_bits(self, one_angle, grid):
+        """Numbers, grid-shaped arrays and a number beside an array pass the gate, and give the roots and the columns
+        of the provider called once per angle, bit for bit."""
+        provider = with_grid(one_angle, grid)
+        for tol in (1e-10, 5e-324):
+            assert critical_angle(provider, tol=tol) == critical_angle(one_angle, tol=tol)
+        for statistics in ExchangeStatistics:
+            got, want = (evaluate_grid(self.SCAN, p, statistics) for p in (provider, one_angle))
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in want]

@@ -7,7 +7,6 @@ import pytest
 
 from spinscatter.amplitudes import NormalizedAmplitudePair, coulomb_f_pm
 from spinscatter.entanglement import (
-    entropy_of_state,
     eoe_label_fixed,
     eoe_symmetrized,
     shannon_bits,
@@ -18,6 +17,8 @@ from spinscatter.spin_states import (
     outgoing_state,
     slater_decomposition,
 )
+
+from oracles import entropy_of_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

