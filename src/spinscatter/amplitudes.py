@@ -55,7 +55,7 @@ def exact_map(fn, *arrays) -> ndarray:
 
 def first_failure(ok, values):
     """None if the check ok holds at every element, else the first element of values where it fails, as a float."""
-    if isinstance(ok, bool):  # one value's check, numpy-free on success (critical_angle checks every bisection step)
+    if isinstance(ok, bool):  # one value's check, numpy-free on success (critical_angle checks every refinement step)
         return None if ok else float(np.ravel(values)[0])  # a number pair answering a grid fails at its first angle
     return None if np.asarray(ok).all() else float(np.extract(np.logical_not(ok), values)[0])
 
@@ -226,20 +226,30 @@ def raw_grid(provider: AmplitudeProvider, thetas: ndarray) -> AmplitudePair:
     each channel stacked into an array.  Through either route a grid element equals its one-angle pair, for the built-in
     providers bit for bit.  Each channel comes out a number, which holds at every angle, or an array of exactly the
     grid's shape; any other array, such as a broadcastable (1,) answer or one-angle pairs that hold arrays, raises
-    ValueError naming its shape and the grid's size.
+    ValueError naming its shape (or, for one-angle channels that numpy cannot stack, their first two shapes) and the
+    grid's size.
     """
     if (grid := getattr(provider, "grid", None)) is not None:
         pair = grid(thetas)
     else:
         pairs = list(map(provider, thetas.tolist()))
-        pair = AmplitudePair(np.array([p.direct for p in pairs]), np.array([p.exchange for p in pairs]))
+        channels = [p.direct for p in pairs], [p.exchange for p in pairs]
+        try:
+            pair = AmplitudePair(*map(np.array, channels))
+        except ValueError:  # numpy cannot stack one-angle channels of different shapes
+            for channel in channels:
+                if len(shapes := list(dict.fromkeys(map(np.shape, channel)))) > 1:
+                    got = f"one-angle channels of shapes {shapes[0]} and {shapes[1]}"
+                    raise ValueError(_refusal(thetas, got)) from None
+            raise
     for channel in (pair.direct, pair.exchange):
         if isinstance(channel, ndarray) and channel.shape != thetas.shape:
-            raise ValueError(
-                f"a raw pair over {thetas.size} angles must hold numbers or arrays of shape {thetas.shape}, "
-                f"got a channel of shape {channel.shape}"
-            )
+            raise ValueError(_refusal(thetas, f"a channel of shape {channel.shape}"))
     return pair
+
+
+def _refusal(thetas: ndarray, got: str) -> str:
+    return f"a raw pair over {thetas.size} angles must hold numbers or arrays of shape {thetas.shape}, got {got}"
 
 
 def coulomb_amplitudes(theta, kin: Kinematics) -> AmplitudePair:

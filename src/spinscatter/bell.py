@@ -22,7 +22,9 @@ of b and c about z leaves F as it is, because it leaves alpha |ud> +
 beta |du> unchanged.  F < 1 flags a Bell violation; for fermions with
 Coulomb amplitudes the border is crossed at theta = pi/4.  bell_F takes
 one normalized pair or the arrays of an angle grid; critical_angle
-brackets the crossing on an angle grid, then bisects on single angles.
+brackets the crossing on an angle grid, then refines it on single angles
+with ITP (interpolate, truncate, project), which takes at most one step
+more than bisection would.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ _BRACKET_LO = 1e-6
 # critical_angle's bracket grid, built once and shared by every solve; read-only, so a grid form cannot write into it.
 _BRACKET = np.linspace(_BRACKET_LO, math.pi / 2.0, _SCAN_POINTS)
 _BRACKET.flags.writeable = False
+# ITP's constants: kappa1 = 0.2 / (b0 - a0) for the bracket cell width b0 - a0, kappa2 = 2, and n0 = 1 step of slack
+# over bisection.
+_ITP_K1 = 0.2 / ((math.pi / 2.0 - _BRACKET_LO) / (_SCAN_POINTS - 1))
+_ITP_K2 = 2
+_ITP_N0 = 1
 
 
 @dataclass(frozen=True)
@@ -190,11 +197,17 @@ def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[
     call of the provider's grid form, such as a built-in provider's, else one
     call per angle), that brackets the first sign change of F - 1 (robust
     against non-monotone providers; two crossings closer than the grid
-    spacing, about 1.54e-3, can be missed), then on one angle per
-    bisection step (a Python float), until the bracket's half-width drops
-    below tol or no float lies strictly inside it.  A step normalizes its
-    pair in Python floats, bit for bit as in a grid, so both routes find the
-    same root.  None when F - 1 keeps one sign over the range.
+    spacing, about 1.54e-3, can be missed), then on one angle per ITP step
+    (Oliveira & Takahashi, ACM TOMS 47, 2020: interpolate, truncate towards
+    the midpoint, project into the step budget), each a Python float strictly
+    inside the current bracket, until the bracket's half-width drops below tol
+    or no float lies strictly inside it.  The result lies within tol of a sign
+    change (or exact zero) of the computed F - 1 in that grid cell.  ITP takes
+    at most _ITP_N0 = 1 step more than bisection of the cell would, and at most
+    ceil(log2(w / (2 tol))) + 1 steps for the cell width w, with tol no
+    smaller than half the float spacing.  A step normalizes its pair in Python
+    floats, bit for bit as in a grid, so both routes find the same root.  None
+    when F - 1 keeps one sign over the range.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -207,18 +220,48 @@ def critical_angle(provider: AmplitudeProvider, tol: float = 1e-10) -> Optional[
         return None
     if values[i] == 0.0:
         return _BRACKET[i].item()
-    # Python floats: each step compares f_lo, and a numpy scalar's comparison costs about 20 times a float's.
-    lo, f_lo, hi = _BRACKET[i].item(), values[i].item(), _BRACKET[i + 1].item()
+    # Python floats: each step compares and interpolates them, and a numpy scalar's arithmetic costs about 20 times.
+    lo, hi = _BRACKET[i].item(), _BRACKET[i + 1].item()
+    f_lo, f_hi = values[i].item(), values[i + 1].item()
+    if not 0.5 * (hi - lo) > tol:  # the cell meets tol (tol=inf included, whose budget below would be floor(inf))
+        return 0.5 * (lo + hi)
 
-    while 0.5 * (hi - lo) > tol:
+    # Every float of the cell is a multiple of u, and so is every bracket width: n units at the start.  eps, tol rounded
+    # down to m halves of u (at least one), ends a bracket where tol does.  Bisection keeps floor(k / 2) or ceil(k / 2)
+    # of k units a step, so it ends after (n // (m + 1)).bit_length() steps at the fewest and one more at the most.
+    # After each step the bracket is at most `budget` wide, and the budget halves; starting from the fewest steps plus
+    # _ITP_N0, it covers the most, so ITP takes at most _ITP_N0 steps more than bisection, whichever halves that keeps,
+    # and at most ceil(log2((hi - lo) / (2 eps))) + _ITP_N0.  The budget is a multiple of u, so within one binade the
+    # rounded midpoint keeps it too.
+    u = math.ulp(lo)
+    m = max(1, math.floor(2.0 * tol / u))
+    eps = 0.5 * u * m
+    n = int(hi / u) - int(lo / u)
+    budget = math.ldexp(eps, (n // (m + 1)).bit_length() + _ITP_N0)
+    while 0.5 * (hi - lo) > eps:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        f_mid = bell_F(normalize(provider(mid))) - 1.0
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
+        width = hi - lo
+        # Interpolate (regula falsi), truncate towards the midpoint, project into the budget's radius about it.
+        guess = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        sigma = math.copysign(1.0, mid - guess)
+        delta = _ITP_K1 * width**_ITP_K2
+        if delta <= abs(mid - guess):
+            guess += sigma * delta
         else:
-            lo, f_lo = mid, f_mid
+            guess = mid
+        radius = budget - 0.5 * width
+        if not abs(guess - mid) <= radius:
+            guess = mid - sigma * radius
+        # Rounding may leave that point outside the bracket or the budget; the midpoint keeps both.
+        x = guess if lo < guess < hi and max(guess - lo, hi - guess) <= budget else mid
+        f_x = bell_F(normalize(provider(x))) - 1.0
+        if f_x == 0.0:
+            return x
+        if (f_lo < 0.0) != (f_x < 0.0):
+            hi, f_hi = x, f_x
+        else:
+            lo, f_lo = x, f_x
+        budget *= 0.5
     return 0.5 * (lo + hi)

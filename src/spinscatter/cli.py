@@ -11,8 +11,8 @@ whole: a scan holds little more than its columns.  Both batch sizes live
 in this module, the only one that slices.  render formats a block
 straight from the column lists, one template per row in either format.
 The JSON bytes are those of json.dumps(indent=2), and the bytes depend
-on neither batch size.  `critical` bisects the Bell crossing until no
-float lies inside the bracket and prints 12 decimals.  Output is
+on neither batch size.  `critical` refines the Bell crossing's bracket
+until no float lies inside it and prints 12 decimals.  Output is
 deterministic byte for byte for a fixed invocation.
 
 Exit status, decided in main for every command: 0 on success, also when
@@ -191,7 +191,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     to_stdout = getattr(args, "output", None) in (None, "-")
     try:
         if args.command == "critical":
-            # The smallest positive tol: bisect until no float lies inside the bracket, so all 12 decimals hold.
+            # The smallest positive tol: refine until no float lies inside the bracket, so all 12 decimals hold.
             root = critical_angle(parse_interaction(args.interaction), tol=math.ulp(0.0))
             print("no crossing" if root is None else f"theta_c = {root:.12f} rad ({math.degrees(root):.12f} deg)")
         else:

@@ -717,7 +717,7 @@ class TestGridForms:
     def test_one_pair_makes_no_numpy_array_call(self, monkeypatch):
         """One pair is normalized and checked in Python numbers: no np.array, where, errstate, asarray or fromiter runs.
 
-        So is a whole bisection step of critical_angle: provider, normalize, then bell_F on one angle.
+        So is a whole refinement step of critical_angle: provider, normalize, then bell_F on one angle.
         """
         providers = (coulomb_provider(), constant_provider(0.6), lambda theta: AmplitudePair(math.cos(theta), 0.5j))
 

@@ -32,6 +32,7 @@ from spinscatter.bell import (
 from spinscatter.cli import BLOCK_ROWS, evaluate_grid
 from spinscatter.spin_states import ExchangeStatistics, TwoSpinState, outgoing_state
 
+from oracles import bisected_critical_angle
 from providers import grid_form
 
 # Frozen before implementation by two independent evaluation routes.
@@ -297,14 +298,14 @@ class TestCriticalAngle:
             critical_angle(coulomb_provider(), tol=tol)
 
     def test_tolerance_below_float_spacing_terminates(self):
-        """tol=1e-20 cannot be met near 1.2; bisection stops at adjacent floats."""
+        """tol=1e-20 cannot be met near 1.2; refinement stops at adjacent floats."""
         calls = 0
 
         def steep(theta):
             nonlocal calls
             calls += 1
             if calls > 2000:
-                raise RuntimeError("bisection did not stop")
+                raise RuntimeError("refinement did not stop")
             phi = min(max(math.pi / 4 + 100.0 * (theta - 1.2), 0.0), math.pi / 2)
             return AmplitudePair(math.cos(phi), math.sin(phi))
 
@@ -312,18 +313,56 @@ class TestCriticalAngle:
         # F = 5/4 - (3/4) sin(2 phi) first reaches 1 where sin(2 phi) = 1/3.
         assert root == pytest.approx(1.2 + (math.asin(1.0 / 3.0) / 2 - math.pi / 4) / 100.0, abs=1e-15)
 
+    def test_infinite_tolerance_gives_the_cell_midpoint(self):
+        """tol=inf is met by the bracket cell itself: the root is its midpoint, with no call after the bracket."""
+        seen = []
+
+        @grid_form
+        def recording(theta):
+            seen.append(theta.shape if isinstance(theta, np.ndarray) else type(theta))
+            return coulomb_provider()(theta)
+
+        root = critical_angle(recording, tol=math.inf)
+        i = int(np.searchsorted(_BRACKET, math.pi / 4)) - 1
+        assert root == 0.5 * (_BRACKET[i] + _BRACKET[i + 1]) == 0.7853986633974483
+        assert seen == [(_SCAN_POINTS,)]
+
+    @pytest.mark.parametrize(
+        "provider",
+        [coulomb_provider(), lambda theta: AmplitudePair(math.cos(500 * theta), math.sin(500 * theta))],
+        ids=["coulomb", "root-in-the-first-cell"],
+    )
+    def test_tolerances_below_half_the_float_spacing_agree(self, provider):
+        """Below half the float spacing at the cell's lower end, every tol refines alike: to adjacent floats, within one
+        step of bisection's.
+
+        So the step budget, tol times a power of 2, neither overflows nor vanishes.  The second provider's root, near
+        3.4e-4, lies in the first bracket cell, whose floats span several binades from 1e-6 up.
+        """
+
+        def solve(solver, tol):
+            calls = []
+            root = solver(lambda theta: calls.append(theta) or provider(theta), tol=tol)
+            return root, len(calls) - _SCAN_POINTS
+
+        ((root, steps),) = {solve(critical_angle, tol) for tol in (5e-324, 1e-300, 1e-30, 1e-23)}
+        want, bisection_steps = solve(bisected_critical_angle, 5e-324)
+        # Or another float of Coulomb's zero band, pi/4 - 2 ulp to pi/4 + 1 ulp, where F - 1 is exactly 0.0.
+        assert abs(root - want) <= math.ulp(want) or bell_F(normalize(provider(root))) == 1.0
+        assert steps <= bisection_steps + 1
+
     @pytest.mark.parametrize(
         "provider, tol, calls",
         [
-            (coulomb_provider(), 1e-10, 1047),
-            (coulomb_provider(), 1e-12, 1054),
-            (coulomb_provider(), 5e-324, 1063),  # what `critical` passes: bisect until no float lies inside the bracket
+            (coulomb_provider(), 1e-10, 1030),
+            (coulomb_provider(), 1e-12, 1030),
+            (coulomb_provider(), 5e-324, 1031),  # what `critical` passes: refine until no float lies inside the bracket
             (constant_provider(0.6), 1e-10, 1024),
         ],
         ids=["coulomb", "coulomb-1e-12", "coulomb-5e-324", "constant-0.6"],
     )
     def test_provider_traffic(self, provider, tol, calls):
-        """One call per angle, each with a Python float: 1024 for the bracket scan, one per bisection step."""
+        """One call per angle, each with a Python float: 1024 for the bracket scan, one per ITP step."""
         seen = []
 
         def recording(theta):
@@ -336,15 +375,15 @@ class TestCriticalAngle:
     @pytest.mark.parametrize(
         "provider, tol, steps",
         [
-            (coulomb_provider(), 1e-10, 23),
-            (coulomb_provider(), 1e-12, 30),
-            (coulomb_provider(), 5e-324, 39),
+            (coulomb_provider(), 1e-10, 6),
+            (coulomb_provider(), 1e-12, 6),
+            (coulomb_provider(), 5e-324, 7),
             (constant_provider(0.6), 1e-10, 0),
         ],
         ids=["coulomb", "coulomb-1e-12", "coulomb-5e-324", "constant-0.6"],
     )
     def test_grid_form_traffic(self, provider, tol, steps):
-        """Through a grid form: one call with the 1024 bracket angles, then one Python float per bisection step."""
+        """Through a grid form: one call with the 1024 bracket angles, then one Python float per ITP step."""
         seen = []
 
         @grid_form
@@ -401,7 +440,7 @@ class TestCriticalAngle:
         assert critical_angle(lambda theta: on_root) == thetas[0]
 
     def test_exact_zero_on_the_bracket_grid_is_the_root(self):
-        """Where F - 1 is exactly 0.0 at a bracket angle, that angle is the root, with no bisection step.
+        """Where F - 1 is exactly 0.0 at a bracket angle, that angle is the root, with no refinement step.
 
         (cos phi, sin phi) at phi = 0.16991845472706094 gives F = 1 to the last bit; F > 1 before that angle and F < 1
         after it.
@@ -488,11 +527,16 @@ class TestCriticalAngle:
             critical_angle(provider)
 
     def test_common_phase_gives_the_root_of_the_real_twin(self):
-        """A phase common to both channels drops out: the root is bit for bit the real pair's."""
+        """A phase common to both channels drops out up to rounding: F = 5/4 - (3/4) sin(theta) crosses 1 at asin(1/3),
+        and either root lies within tol of it and of the other.  Rounding the phased pair's F moves ITP's steps, so
+        the roots need not share their bits."""
         phase = complex(math.cos(0.3), math.sin(0.3))
-        real_twin = critical_angle(lambda t: AmplitudePair(math.cos(t / 2), math.sin(t / 2)))
-        phased = critical_angle(lambda t: AmplitudePair(phase * math.cos(t / 2), phase * math.sin(t / 2)))
-        assert real_twin == phased == 0.33983690940795663
+        tol = 1e-10
+        real_twin = critical_angle(lambda t: AmplitudePair(math.cos(t / 2), math.sin(t / 2)), tol=tol)
+        phased = critical_angle(lambda t: AmplitudePair(phase * math.cos(t / 2), phase * math.sin(t / 2)), tol=tol)
+        assert abs(real_twin - math.asin(1.0 / 3.0)) <= tol
+        assert abs(phased - math.asin(1.0 / 3.0)) <= tol
+        assert abs(real_twin - phased) <= tol
 
     def test_real_channel_beside_a_complex_one(self):
         """A provider returning (float, complex) gives its all-complex twin's root, with as many provider calls."""
@@ -559,8 +603,10 @@ class TestGridAnswerShape:
 
     @staticmethod
     def refused(n, shape):
-        """The gate's ValueError for a grid of n angles answered with a channel of this shape."""
-        text = f"a raw pair over {n} angles must hold numbers or arrays of shape {(n,)}, got a channel of shape {shape}"
+        """The gate's ValueError for a grid of n angles answered with a channel of this shape (or with what a text
+        names)."""
+        got = shape if isinstance(shape, str) else f"a channel of shape {shape}"
+        text = f"a raw pair over {n} angles must hold numbers or arrays of shape {(n,)}, got {got}"
         return pytest.raises(ValueError, match=re.escape(text) + "$")
 
     def calls(self, provider):
@@ -579,11 +625,14 @@ class TestGridAnswerShape:
                 call()
 
     def test_one_angle_pairs_that_hold_arrays_are_refused(self):
-        """One-angle pairs of 2-element arrays stack to an (n, 2) channel, which the gate refuses by its shape."""
-        provider = lambda theta: AmplitudePair(np.full(2, math.cos(theta / 2)), np.full(2, math.sin(theta / 2)))
-        for call, n in self.calls(provider):
-            with self.refused(n, (n, 2)):
-                call()
+        """One-angle pairs of 2-element arrays stack to an (n, 2) channel, which the gate refuses by its shape.  Arrays
+        of 2 elements below theta = 1 and 3 above it do not stack; the gate names the first two shapes."""
+        twins = lambda theta: AmplitudePair(np.full(2, math.cos(theta / 2)), np.full(2, math.sin(theta / 2)))
+        ragged = lambda theta: AmplitudePair(np.ones(2 if theta < 1 else 3), 1.0)
+        for provider, got in ((twins, lambda n: (n, 2)), (ragged, lambda n: "one-angle channels of shapes (2,) and (3,)")):
+            for call, n in self.calls(provider):
+                with self.refused(n, got(n)):
+                    call()
 
     @pytest.mark.parametrize(
         "one_angle, grid",

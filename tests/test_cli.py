@@ -281,7 +281,7 @@ class TestCriticalCommand:
         assert out == line + "\n"
 
     def test_bisects_to_the_float_spacing(self, capsys, monkeypatch):
-        """The CLI runs critical_angle until no float lies inside the bracket: 1063 Coulomb calls, 1047 at 1e-10."""
+        """The CLI runs critical_angle until no float lies inside the bracket: 1031 Coulomb calls, 1030 at 1e-10."""
         provider = coulomb_provider()
         seen = []
 
@@ -292,10 +292,10 @@ class TestCriticalCommand:
         monkeypatch.setattr(cli, "parse_interaction", lambda text: recording)
         code, _, _ = run(capsys, "critical")
         assert code == 0
-        assert seen == [float] * 1063
+        assert seen == [float] * 1031
 
     def test_bisects_through_the_grid_form(self, capsys, monkeypatch):
-        """A provider with a grid form gets the bracket in one call, then 39 floats, and prints the same line."""
+        """A provider with a grid form gets the bracket in one call, then 7 floats, and prints the same line."""
         provider = coulomb_provider()
         seen = []
 
@@ -308,7 +308,7 @@ class TestCriticalCommand:
         code, out, _ = run(capsys, "critical")
         assert code == 0
         assert out == "theta_c = 0.785398163397 rad (45.000000000000 deg)\n"
-        assert seen == [(1024,)] + [float] * 39
+        assert seen == [(1024,)] + [float] * 7
 
 
 _RANGE = "error: scan range must satisfy 0 < theta-min < theta-max <= pi/2\n"

@@ -3,6 +3,7 @@ Pauli oracle."""
 
 import cmath
 import contextlib
+import functools
 import io
 import json
 import math
@@ -19,12 +20,17 @@ from hypothesis import strategies as st  # noqa: E402
 
 from spinscatter.amplitudes import (  # noqa: E402
     AmplitudePair,
+    Kinematics,
     check_unit_norm,
     constant_provider,
+    coulomb_provider,
     normalize,
+    raw_grid,
     unit_weights,
 )
 from spinscatter.bell import (  # noqa: E402
+    _BRACKET,
+    _ITP_N0,
     _SCAN_POINTS,
     _first_crossing,
     BellGeometry,
@@ -32,6 +38,7 @@ from spinscatter.bell import (  # noqa: E402
     bell_F,
     correlator_closed_form,
     correlator_oracle,
+    critical_angle,
     standard_geometry,
 )
 from spinscatter.cli import (  # noqa: E402
@@ -52,6 +59,7 @@ from spinscatter.spin_states import (  # noqa: E402
     slater_rank,
 )
 
+from oracles import bisected_critical_angle  # noqa: E402
 from providers import grid_form  # noqa: E402
 
 HALF_PI = math.pi / 2.0
@@ -372,6 +380,85 @@ def test_first_crossing_matches_the_diff_scan(values):
     """The sign-change scan picks the first index that the np.diff expression it replaced picks, or None with it."""
     hits = np.flatnonzero((values == 0.0) | np.append(np.diff(values < 0.0), False))
     assert _first_crossing(values) == (int(hits[0]) if hits.size else None)
+
+
+def scalar_provider(k):
+    """(cos k theta, sin k theta), with no grid form: F = 5/4 - (3/4) sin(2 k theta) crosses 1 at asin(1/3) / (2 k)."""
+    return lambda theta: AmplitudePair(math.cos(k * theta), math.sin(k * theta))
+
+
+def screened(theta):
+    """The README's screened Coulomb provider."""
+    c = math.cos(theta)
+    return AmplitudePair(1.0 / (1.1 - c), 1.0 / (1.1 + c))
+
+
+def steep(theta):
+    """F falls from 5/4 to 1/2 within about 0.016 of theta = 1.2, and crosses 1 near 1.19385."""
+    phi = min(max(math.pi / 4 + 100.0 * (theta - 1.2), 0.0), math.pi / 2)
+    return AmplitudePair(math.cos(phi), math.sin(phi))
+
+
+_SPACING = (_BRACKET[1] - _BRACKET[0]).item()
+_CENTER = (0.5 * (_BRACKET[500] + _BRACKET[501])).item()
+
+
+def window(theta):
+    """A step function: F = 1/2 within 0.75 grid spacings of a point between two bracket angles, F = 5/4 outside."""
+    return AmplitudePair(1.0, 1.0) if abs(theta - _CENTER) < 0.75 * _SPACING else AmplitudePair(1.0, 0.0)
+
+
+WORK_BOUND_PROVIDERS = {
+    "coulomb": coulomb_provider(),
+    "coulomb-massless": coulomb_provider(Kinematics(m=0.0, E=1.0)),
+    "coulomb-fast": coulomb_provider(Kinematics(m=1.0, E=1e3, charge_factor=3.0)),
+    "scalar-0.25": scalar_provider(0.25),
+    "scalar-1": scalar_provider(1.0),
+    "scalar-root-at-0.5": scalar_provider(math.asin(1.0 / 3.0)),  # its bracket cell holds floats of two binades
+    "screened": screened,
+    "steep": steep,
+    "window": window,
+}
+
+
+@functools.cache
+def float_spacing_root(name):
+    """The reference root of a provider above: bisection until no float lies inside the bracket."""
+    return bisected_critical_angle(WORK_BOUND_PROVIDERS[name], tol=5e-324)
+
+
+def root_and_steps(solver, provider, tol):
+    """The solver's root and the number of provider calls after the bracket, which a grid form answers in one call."""
+    steps = 0
+
+    def counted(theta):
+        nonlocal steps
+        steps += 1
+        return provider(theta)
+
+    counted.grid = lambda thetas: raw_grid(provider, thetas)
+    return solver(counted, tol=tol), steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(tol=st.floats(-17.0, -3.0).map(lambda e: 10.0**e))
+@example(tol=1e-6)
+@example(tol=1e-10)
+@example(tol=1e-12)
+@example(tol=5e-324)
+def test_itp_takes_at_most_one_step_more_than_bisection(tol):
+    """ITP's provider calls after the bracket are at most bisection's plus n0 = 1, and at most ceil(log2(w / (2 tol)))
+    + 1 for the cell width w (tol no smaller than half the float spacing there); its root lies within tol of the
+    float-spacing root.  The window's step function defeats interpolation, so there ITP spends its whole budget."""
+    for name, provider in WORK_BOUND_PROVIDERS.items():
+        root, steps = root_and_steps(critical_angle, provider, tol)
+        _, bisection_steps = root_and_steps(bisected_critical_angle, provider, tol)
+        want = float_spacing_root(name)
+        assert steps <= bisection_steps + _ITP_N0, name
+        i = int(np.searchsorted(_BRACKET, want)) - 1
+        lo, hi = _BRACKET[i].item(), _BRACKET[i + 1].item()
+        assert steps <= math.ceil(math.log2((hi - lo) / (2.0 * max(tol, 0.5 * math.ulp(lo))))) + 1, name
+        assert abs(root - want) <= tol + 1e-15, name
 
 
 @settings(max_examples=150, deadline=None)
